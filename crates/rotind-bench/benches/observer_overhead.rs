@@ -1,12 +1,13 @@
-//! The zero-overhead claim, measured: `nearest_observed` with a
-//! [`NoopObserver`] must cost the same as the plain `nearest_with_steps`
-//! path (the no-op callbacks are monomorphized away), and a recording
+//! The zero-overhead claim, measured: `RotationQuery::search` with a
+//! [`NoopObserver`] must cost the same as the plain `nearest` path (the
+//! no-op callbacks are monomorphized away), and a recording
 //! [`QueryTrace`] should add only the cost of bumping a few counters.
 //!
 //! [`NoopObserver`]: rotind_obs::NoopObserver
 //! [`QueryTrace`]: rotind_obs::QueryTrace
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use rotind_bench::nearest_scan;
 use rotind_index::engine::{Invariance, RotationQuery};
 use rotind_obs::{NoopObserver, Profiler, QueryTrace};
 use rotind_shape::dataset::projectile_points;
@@ -25,28 +26,19 @@ fn bench_observer_overhead(c: &mut Criterion) {
     group.sample_size(20);
 
     group.bench_function("plain", |b| {
-        b.iter(|| {
-            let mut s = StepCounter::new();
-            engine
-                .nearest_with_steps(black_box(&db), &mut s)
-                .expect("valid")
-        })
+        b.iter(|| engine.nearest(black_box(&db)).expect("valid"))
     });
     group.bench_function("noop_observer", |b| {
         b.iter(|| {
             let mut s = StepCounter::new();
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut NoopObserver)
-                .expect("valid")
+            nearest_scan(&engine, black_box(&db), &mut s, &mut NoopObserver).expect("valid")
         })
     });
     group.bench_function("query_trace", |b| {
         b.iter(|| {
             let mut s = StepCounter::new();
             let mut trace = QueryTrace::new(n);
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut trace)
-                .expect("valid")
+            nearest_scan(&engine, black_box(&db), &mut s, &mut trace).expect("valid")
         })
     });
     // The profiler reads the clock at every phase boundary — the
@@ -56,9 +48,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
         b.iter(|| {
             let mut s = StepCounter::new();
             let mut profiler = Profiler::new();
-            engine
-                .nearest_observed(black_box(&db), &mut s, &mut profiler)
-                .expect("valid")
+            nearest_scan(&engine, black_box(&db), &mut s, &mut profiler).expect("valid")
         })
     });
 

@@ -3,11 +3,13 @@
 //! and fixed wedge-set sizes (the design choices DESIGN.md calls out).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rotind_bench::nearest_scan;
 use rotind_cluster::linkage::Linkage;
 use rotind_distance::Measure;
 use rotind_envelope::WedgeTree;
 use rotind_eval::speedup::{scan_steps, SearchAlgorithm};
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
+use rotind_obs::NoopObserver;
 use rotind_shape::dataset::projectile_points;
 use rotind_ts::rotate::RotationMatrix;
 use rotind_ts::StepCounter;
@@ -42,9 +44,7 @@ fn bench_search(c: &mut Criterion) {
                 .with_k_policy(KPolicy::Fixed(k));
             b.iter(|| {
                 let mut s = StepCounter::new();
-                engine
-                    .nearest_with_steps(black_box(&db), &mut s)
-                    .expect("valid")
+                nearest_scan(&engine, black_box(&db), &mut s, &mut NoopObserver).expect("valid")
             })
         });
     }
@@ -52,9 +52,7 @@ fn bench_search(c: &mut Criterion) {
         let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid");
         b.iter(|| {
             let mut s = StepCounter::new();
-            engine
-                .nearest_with_steps(black_box(&db), &mut s)
-                .expect("valid")
+            nearest_scan(&engine, black_box(&db), &mut s, &mut NoopObserver).expect("valid")
         })
     });
 

@@ -11,14 +11,16 @@
 //!
 //! `ROTIND_QUICK=1` shrinks the workload.
 
-use rotind_bench::BenchError;
+use rotind_bench::{nearest_scan, BenchError};
 use rotind_cluster::linkage::Linkage;
 use rotind_distance::{DtwParams, Measure};
 use rotind_envelope::lb_keogh::lb_keogh;
 use rotind_envelope::WedgeTree;
 use rotind_eval::report::{fmt_ratio, Table};
+use rotind_index::cascade::{BoundCascade, CandidateCtx};
 use rotind_index::engine::{Invariance, KPolicy, RotationQuery};
-use rotind_index::hmerge::h_merge;
+use rotind_index::hmerge::h_merge_cascade;
+use rotind_obs::{NoBudget, NoopObserver};
 use rotind_shape::dataset::projectile_points;
 use rotind_ts::rotate::RotationMatrix;
 use rotind_ts::StepCounter;
@@ -40,7 +42,7 @@ fn run() -> Result<(), BenchError> {
         for q in &queries {
             let engine = RotationQuery::new(q, Invariance::Rotation)?.with_k_policy(policy);
             let mut counter = StepCounter::new();
-            engine.nearest_with_steps(&db, &mut counter)?;
+            nearest_scan(&engine, &db, &mut counter, &mut NoopObserver)?;
             total += counter.steps();
         }
         Ok(total / queries.len() as u64)
@@ -74,7 +76,20 @@ fn run() -> Result<(), BenchError> {
             let mut counter = StepCounter::new();
             let mut bsf = f64::INFINITY;
             for item in &db {
-                if let Some(o) = h_merge(item, &tree, &cut, bsf, Measure::Euclidean, &mut counter) {
+                // The legacy (single LB_Keogh) cascade isolates the
+                // linkage's effect from the cascade tiers.
+                if let Some(o) = h_merge_cascade(
+                    item,
+                    &tree,
+                    &BoundCascade::legacy(),
+                    &cut,
+                    bsf,
+                    Measure::Euclidean,
+                    &mut counter,
+                    &mut NoopObserver,
+                    &mut NoBudget,
+                    &mut CandidateCtx::new(),
+                ) {
                     bsf = o.distance;
                 }
             }
@@ -136,7 +151,7 @@ fn run() -> Result<(), BenchError> {
             Measure::Dtw(DtwParams::new(band)),
         )?;
         let mut counter = StepCounter::new();
-        engine.nearest_with_steps(&db, &mut counter)?;
+        nearest_scan(&engine, &db, &mut counter, &mut NoopObserver)?;
         w_table.push_row([
             band.to_string(),
             fmt_ratio(if base_lb > 0.0 {
@@ -157,7 +172,7 @@ fn run() -> Result<(), BenchError> {
             let engine =
                 RotationQuery::new(q, Invariance::Rotation)?.with_probe_intervals(intervals);
             let mut counter = StepCounter::new();
-            engine.nearest_with_steps(&db, &mut counter)?;
+            nearest_scan(&engine, &db, &mut counter, &mut NoopObserver)?;
             total += counter.steps();
         }
         Ok(total / queries.len() as u64)

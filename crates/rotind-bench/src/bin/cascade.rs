@@ -15,7 +15,7 @@
 //! [`QueryTrace`]: rotind_obs::QueryTrace
 //! [`Profiler`]: rotind_obs::Profiler
 
-use rotind_bench::BenchError;
+use rotind_bench::{nearest_scan, BenchError};
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
 use rotind_eval::report::Table;
@@ -124,7 +124,7 @@ fn run_config(
             trace: &mut trace,
             profiler: &mut profiler,
         };
-        engine.nearest_observed(db, &mut counter, &mut observer)?;
+        nearest_scan(&engine, db, &mut counter, &mut observer)?;
         total_steps += counter.steps();
     }
     let elapsed = start.elapsed();

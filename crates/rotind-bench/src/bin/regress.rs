@@ -22,10 +22,11 @@ use std::time::Instant;
 use rotind_bench::regress::{
     apply_inject, compare, hostname, inject_factor, Baseline, Measurement,
 };
-use rotind_bench::BenchError;
+use rotind_bench::{nearest_parallel_scan, nearest_scan, BenchError};
 use rotind_distance::dtw::DtwParams;
 use rotind_distance::measure::Measure;
 use rotind_index::engine::{Invariance, RotationQuery};
+use rotind_obs::NoopObserver;
 use rotind_shape::dataset as shapes;
 use rotind_ts::StepCounter;
 
@@ -76,7 +77,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
         for query in queries {
             let mut counter = StepCounter::new();
             let engine = RotationQuery::new(query, Invariance::Rotation)?;
-            engine.nearest_with_steps(db, &mut counter)?;
+            nearest_scan(&engine, db, &mut counter, &mut NoopObserver)?;
             total += counter.steps();
         }
         Ok(total)
@@ -92,7 +93,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
                 Invariance::Rotation,
                 Measure::Dtw(DtwParams::new(band)),
             )?;
-            engine.nearest_with_steps(db, &mut counter)?;
+            nearest_scan(&engine, db, &mut counter, &mut NoopObserver)?;
             total += counter.steps();
         }
         Ok(total)
@@ -103,7 +104,7 @@ fn measure_suite(quick: bool) -> Result<Vec<Measurement>, BenchError> {
     let parallel = run_entry("euclid_parallel4", false, repeats, || {
         for query in queries {
             let engine = RotationQuery::new(query, Invariance::Rotation)?;
-            engine.nearest_parallel(db, 4)?;
+            nearest_parallel_scan(&engine, db, 4)?;
         }
         Ok(0)
     })?;

@@ -21,7 +21,7 @@
 //! [`QueryTrace`]: rotind_obs::QueryTrace
 //! [`Profiler`]: rotind_obs::Profiler
 
-use rotind_bench::BenchError;
+use rotind_bench::{nearest_scan, BenchError};
 use rotind_eval::report::{fmt_ratio, Table};
 use rotind_eval::speedup::wedge_startup_steps;
 use rotind_index::engine::{Invariance, RotationQuery};
@@ -44,7 +44,7 @@ fn run() -> Result<(), BenchError> {
         let mut counter = StepCounter::new();
         let span = Span::enter_with("trace.query", &counter);
         let engine = RotationQuery::new(query, Invariance::Rotation)?;
-        engine.nearest_observed(db, &mut counter, &mut trace)?;
+        nearest_scan(&engine, db, &mut counter, &mut trace)?;
         counter.add(wedge_startup_steps(n, engine.tree().max_k()));
         span.finish(&counter);
         total_steps += counter.steps();
@@ -133,7 +133,7 @@ fn run() -> Result<(), BenchError> {
     for query in &pool[m..] {
         let mut counter = StepCounter::new();
         let engine = RotationQuery::new(query, Invariance::Rotation)?;
-        engine.nearest_observed(db, &mut counter, &mut profiler)?;
+        nearest_scan(&engine, db, &mut counter, &mut profiler)?;
         counter.add(wedge_startup_steps(n, engine.tree().max_k()));
         profiled_steps += counter.steps();
     }

@@ -19,7 +19,7 @@ use rotind_eval::speedup::{
 use rotind_index::disk::{IndexedDatabase, ReducedRepr};
 use rotind_index::engine::{Invariance, RotationQuery};
 use rotind_lightcurve::dataset::{classification_set, light_curves};
-use rotind_obs::QueryTrace;
+use rotind_obs::{NoopObserver, QueryTrace};
 use rotind_shape::centroid::align_to_major_axis;
 use rotind_shape::dataset::{self as shapes, Dataset};
 use rotind_shape::generators::butterfly::{bend_hindwing, butterfly_profile, LEPIDOPTERA};
@@ -786,9 +786,7 @@ pub fn scaling(quick: bool) -> Table {
             let query = &ds.items[m + q];
             let mut counter = StepCounter::new();
             let engine = RotationQuery::new(query, Invariance::Rotation).expect("valid query");
-            engine
-                .nearest_with_steps(db, &mut counter)
-                .expect("valid db");
+            crate::nearest_scan(&engine, db, &mut counter, &mut NoopObserver).expect("valid db");
             total += counter.steps() + wedge_startup_steps(n, n);
         }
         let per_comparison = total as f64 / (queries * m) as f64;
@@ -849,8 +847,7 @@ pub fn thread_scaling(quick: bool) -> Table {
         "threads", "wall-ms", "speedup", "p50-ms", "p95-ms", "p99-ms", "nn-index",
     ]);
     for pt in &points {
-        let hit = engine
-            .nearest_parallel(db, pt.threads)
+        let hit = crate::nearest_parallel_scan(&engine, db, pt.threads)
             // rotind-lint: allow(no-panic)
             .expect("non-empty database");
         assert_eq!(
@@ -886,8 +883,7 @@ pub fn smoke_query() -> u64 {
         SearchAlgorithm::Wedge,
         Measure::Euclidean,
     );
-    engine
-        .nearest_with_steps(&ds.items[1..], &mut counter)
+    crate::nearest_scan(&engine, &ds.items[1..], &mut counter, &mut NoopObserver)
         .expect("valid db");
     counter.steps()
 }

@@ -22,7 +22,46 @@ pub mod regress;
 
 pub use error::BenchError;
 
+use rotind_index::{Neighbor, QueryKind, RotationQuery, SearchError};
+use rotind_obs::{NoBudget, NoopObserver, SearchObserver};
+use rotind_ts::StepCounter;
 use std::path::PathBuf;
+
+/// One exact 1-NN scan: [`RotationQuery::search`] for
+/// [`QueryKind::Nearest`], unbudgeted and uncached, charging its
+/// `num_steps` to `counter` and its events to `observer`.
+pub fn nearest_scan<O: SearchObserver>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    counter: &mut StepCounter,
+    observer: &mut O,
+) -> Result<Neighbor, SearchError> {
+    let hits = engine.search(
+        db,
+        QueryKind::Nearest,
+        counter,
+        observer,
+        &mut NoBudget,
+        None,
+    )?;
+    let hit = hits.into_inner().into_iter().next();
+    hit.ok_or(SearchError::EmptyDatabase)
+}
+
+/// One exact 1-NN scan over `threads` worker threads (`0` = auto):
+/// [`RotationQuery::search_parallel`] for [`QueryKind::Nearest`],
+/// unbudgeted and unobserved.
+pub fn nearest_parallel_scan(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    threads: usize,
+) -> Result<Neighbor, SearchError> {
+    let counter = &mut StepCounter::new();
+    let kind = QueryKind::Nearest;
+    let (hits, _) = engine.search_parallel(db, kind, threads, counter, &mut NoopObserver, None)?;
+    let hit = hits.into_inner().into_iter().next();
+    hit.ok_or(SearchError::EmptyDatabase)
+}
 
 /// `true` when `ROTIND_QUICK` requests a reduced-scale run.
 pub fn quick_mode() -> bool {

@@ -18,8 +18,8 @@ use rotind_distance::measure::Measure;
 use rotind_index::baselines::{
     brute_force_scan, convolution_scan, early_abandon_scan_observed, fft_scan_observed,
 };
-use rotind_index::engine::{Invariance, RotationQuery};
-use rotind_obs::{LogHistogram, NoopObserver, QueryTrace, SearchObserver};
+use rotind_index::engine::{Invariance, QueryKind, RotationQuery};
+use rotind_obs::{LogHistogram, NoBudget, NoopObserver, QueryTrace, SearchObserver};
 use rotind_ts::rotate::RotationMatrix;
 use rotind_ts::StepCounter;
 
@@ -127,7 +127,14 @@ pub fn scan_steps_observed<O: SearchObserver>(
             let engine = RotationQuery::with_measure(query, Invariance::Rotation, measure)
                 .expect("valid query");
             engine
-                .nearest_observed(db, &mut counter, observer)
+                .search(
+                    db,
+                    QueryKind::Nearest,
+                    &mut counter,
+                    observer,
+                    &mut NoBudget,
+                    None,
+                )
                 .expect("valid database");
             counter.add(wedge_startup_steps(query.len(), engine.tree().max_k()));
         }
@@ -185,8 +192,16 @@ pub fn scan_wall_nanos_parallel(
     let engine =
         // rotind-lint: allow(no-panic)
         RotationQuery::with_measure(query, Invariance::Rotation, measure).expect("valid query");
+    let counter = &mut StepCounter::new();
     engine
-        .nearest_parallel(db, threads)
+        .search_parallel(
+            db,
+            QueryKind::Nearest,
+            threads,
+            counter,
+            &mut NoopObserver,
+            None,
+        )
         // rotind-lint: allow(no-panic)
         .expect("valid database");
     start.elapsed().as_nanos()
@@ -555,8 +570,22 @@ mod tests {
         // Determinism: parallel answers equal sequential at every count.
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let sequential = engine.nearest(&db).unwrap();
+        let sequential_knn = engine.k_nearest(&db, 3).unwrap();
         for threads in [1, 2, 4] {
-            assert_eq!(engine.nearest_parallel(&db, threads).unwrap(), sequential);
+            for (kind, expected) in [
+                (QueryKind::Nearest, vec![sequential]),
+                (QueryKind::KNearest(3), sequential_knn.clone()),
+            ] {
+                let counter = &mut StepCounter::new();
+                let (outcome, _) = engine
+                    .search_parallel(&db, kind, threads, counter, &mut NoopObserver, None)
+                    .unwrap();
+                assert_eq!(
+                    outcome.into_inner(),
+                    expected,
+                    "{kind:?} at {threads} threads"
+                );
+            }
         }
     }
 

@@ -108,8 +108,8 @@ impl CascadeConfig {
     }
 
     /// The pre-cascade engine: natural-order LB_Keogh and nothing else.
-    /// [`crate::hmerge::h_merge_observed`] runs under this configuration,
-    /// reproducing the historical scan step-for-step.
+    /// [`crate::hmerge::h_merge_cascade`] under this configuration
+    /// reproduces the historical scan step-for-step.
     pub fn legacy() -> Self {
         CascadeConfig {
             kim: false,
@@ -237,7 +237,8 @@ impl BoundCascade {
 /// actually reaches tier 2, plus the reusable projection/sliding-window
 /// buffers the tier-4 second pass (and the LCSS envelope bound) fill per
 /// node — owned here so the scan allocates nothing per wedge.
-pub(crate) struct CandidateCtx {
+#[derive(Debug, Default)]
+pub struct CandidateCtx {
     paa: Option<Paa>,
     /// True when the projection arrived pre-built from a cache (used
     /// only for the cache's built/reused accounting).
@@ -247,12 +248,9 @@ pub(crate) struct CandidateCtx {
 }
 
 impl CandidateCtx {
-    pub(crate) fn new() -> Self {
-        CandidateCtx {
-            paa: None,
-            seeded: false,
-            improved: ImprovedScratch::new(),
-        }
+    /// A fresh context: nothing projected yet.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// A context pre-seeded with an already-built projection (or

@@ -13,15 +13,17 @@
 //! Two index flavours match the two Figure 24 series: Fourier magnitudes
 //! for Euclidean queries, PAA wedge envelopes for DTW queries.
 
+use crate::cascade::{BoundCascade, CandidateCtx};
 use crate::engine::{Invariance, Neighbor, RotationQuery};
 use crate::error::SearchError;
-use crate::hmerge::h_merge;
+use crate::hmerge::{h_merge_cascade, HMergeOutcome};
 use crate::reduced::{Paa, PaaWedgeSet};
 use crate::vptree::{BoundKind, VpTree};
 use rotind_distance::measure::Measure;
 use rotind_envelope::Wedge;
 use rotind_fft::lower_bound::magnitude_distance;
 use rotind_fft::magnitude_features;
+use rotind_obs::{NoBudget, NoopObserver};
 use rotind_ts::{StepCounter, TsError};
 
 /// Disk-access accounting for one query.
@@ -197,14 +199,30 @@ impl IndexedDatabase {
         let cut = tree.cut_nodes(INDEX_WEDGE_SET_SIZE.min(tree.max_k()));
         let mut counter = StepCounter::new();
         let mut retrieved = 0usize;
+        // The legacy (single LB_Keogh) cascade keeps the step counts of
+        // the paper's Figure 24 setup.
+        let legacy = BoundCascade::legacy();
+        let walk = |item: &[f64], r: f64, counter: &mut StepCounter| -> Option<HMergeOutcome> {
+            h_merge_cascade(
+                item,
+                tree,
+                &legacy,
+                &cut,
+                r,
+                measure,
+                counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                &mut CandidateCtx::new(),
+            )
+        };
 
         // Table 7: the retrieved item's exact distance is computed by
         // H-Merge *under the running best-so-far*, so hopeless rotations
         // abandon early; items that cannot beat the threshold report +∞.
         let mut refine = |i: usize, bsf: f64| -> f64 {
             retrieved += 1;
-            h_merge(&self.items[i], tree, &cut, bsf, measure, &mut counter)
-                .map_or(f64::INFINITY, |o| o.distance)
+            walk(&self.items[i], bsf, &mut counter).map_or(f64::INFINITY, |o| o.distance)
         };
 
         let (best, _stats) = match self.repr {
@@ -234,15 +252,8 @@ impl IndexedDatabase {
 
         let (index, _) = best.expect("non-empty database with infinite threshold");
         // Recompute the winning neighbour's rotation (cheap: one item).
-        let outcome = h_merge(
-            &self.items[index],
-            tree,
-            &cut,
-            f64::INFINITY,
-            measure,
-            &mut counter,
-        )
-        .expect("infinite threshold always matches");
+        let outcome = walk(&self.items[index], f64::INFINITY, &mut counter)
+            .expect("infinite threshold always matches");
         Ok((
             Neighbor {
                 index,

@@ -7,15 +7,23 @@
 //! dynamically tuned wedge-set size `K`. All searches are **exact**: they
 //! return precisely the answers of the brute-force Table 3 scan, verified
 //! by the property tests in `tests/`.
+//!
+//! Every search runs one per-item loop (`ScanState::run`, the paper's
+//! `NNSearch`, Table 7) over one wedge walk ([`h_merge_cascade`],
+//! Table 6). The sequential entry point is [`RotationQuery::search`];
+//! each worker of [`RotationQuery::search_parallel`] runs the same loop
+//! over its chunk.
 
 use crate::cascade::{BatchPaaCache, BoundCascade, CandidateCtx, CascadeConfig};
 use crate::error::SearchError;
-use crate::hmerge::{h_merge_cascade_budgeted_ctx, h_merge_from_root, HMergeOutcome};
+use crate::hmerge::h_merge_cascade;
 use crate::planner::KPlanner;
+use crate::radius::SharedRadius;
 use rotind_distance::measure::Measure;
 use rotind_envelope::WedgeTree;
 use rotind_obs::{
-    BudgetHook, BudgetOutcome, Exhausted, NoBudget, NoopObserver, ProfilePhase, SearchObserver,
+    BudgetHook, BudgetOutcome, BudgetReason, Exhausted, NoBudget, NoopObserver, ProfilePhase,
+    SearchObserver,
 };
 use rotind_ts::rotate::{Rotation, RotationMatrix};
 use rotind_ts::{StepCounter, TsError};
@@ -82,6 +90,17 @@ pub enum KPolicy {
     Fixed(usize),
 }
 
+/// What a search asks for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum QueryKind {
+    /// The single nearest neighbour: exactly `KNearest(1)`.
+    Nearest,
+    /// The `k` nearest neighbours (ties broken by database order).
+    KNearest(usize),
+    /// Every item within the radius (inclusive).
+    Range(f64),
+}
+
 /// One search hit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Neighbor {
@@ -117,8 +136,8 @@ pub struct RotationQuery {
     tree: WedgeTree,
     measure: Measure,
     cascade: BoundCascade,
-    pub(crate) k_policy: KPolicy,
-    pub(crate) probe_intervals: usize,
+    k_policy: KPolicy,
+    probe_intervals: usize,
 }
 
 impl RotationQuery {
@@ -128,15 +147,28 @@ impl RotationQuery {
     }
 
     /// Engine under an arbitrary measure (Euclidean, DTW or LCSS). For
-    /// DTW the wedge envelopes are widened by the measure's band.
+    /// DTW the wedge envelopes are widened by the measure's band. The
+    /// cascade comes from `ROTIND_CASCADE` (see
+    /// [`CascadeConfig::from_env`]).
     pub fn with_measure(
         query: &[f64],
         invariance: Invariance,
         measure: Measure,
     ) -> Result<Self, TsError> {
+        Self::with_config(query, invariance, measure, CascadeConfig::from_env())
+    }
+
+    /// [`with_measure`](Self::with_measure) under an explicit cascade
+    /// configuration, so a long-lived caller reads the environment once.
+    pub(crate) fn with_config(
+        query: &[f64],
+        invariance: Invariance,
+        measure: Measure,
+        config: CascadeConfig,
+    ) -> Result<Self, TsError> {
         let matrix = invariance.matrix(query)?;
         let tree = WedgeTree::new(matrix, measure.warping_band());
-        let cascade = BoundCascade::build(&tree, CascadeConfig::from_env());
+        let cascade = BoundCascade::build(&tree, config);
         Ok(RotationQuery {
             tree,
             measure,
@@ -188,125 +220,106 @@ impl RotationQuery {
         &self.tree
     }
 
-    /// Exact rotation-invariant distance from the query to `candidate`.
+    /// Exact rotation-invariant distance from the query to `candidate`:
+    /// one wedge walk from the root with an infinite threshold.
     pub fn distance_to(&self, candidate: &[f64]) -> Result<f64, SearchError> {
-        self.check_len(0, candidate)?;
-        let mut counter = StepCounter::new();
-        Ok(h_merge_from_root(
+        check_series(0, candidate, self.series_len())?;
+        let outcome = h_merge_cascade(
             candidate,
             &self.tree,
+            &self.cascade,
+            &[self.tree.root()],
             f64::INFINITY,
             self.measure,
-            &mut counter,
-        )
-        .expect("infinite threshold always matches")
-        .distance)
+            &mut StepCounter::new(),
+            &mut NoopObserver,
+            &mut NoBudget,
+            &mut CandidateCtx::new(),
+        );
+        Ok(outcome.map_or(f64::INFINITY, |o| o.distance))
     }
 
     /// Exact 1-nearest-neighbour search.
     pub fn nearest(&self, database: &[Vec<f64>]) -> Result<Neighbor, SearchError> {
-        let mut counter = StepCounter::new();
-        self.nearest_with_steps(database, &mut counter)
-    }
-
-    /// 1-NN search that also reports the `num_steps` cost — the metric of
-    /// Figures 19–23.
-    pub fn nearest_with_steps(
-        &self,
-        database: &[Vec<f64>],
-        counter: &mut StepCounter,
-    ) -> Result<Neighbor, SearchError> {
-        let hits = self.k_nearest_with_steps(database, 1, counter)?;
-        Ok(hits.into_iter().next().expect("k = 1 yields one hit"))
-    }
-
-    /// 1-NN search reporting every wedge test, prune, early abandon and
-    /// planner decision to `observer` (typically a
-    /// [`rotind_obs::QueryTrace`]). The observer never changes the
-    /// answer or the step count — see `tests/observability.rs`.
-    pub fn nearest_observed<O: SearchObserver>(
-        &self,
-        database: &[Vec<f64>],
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Neighbor, SearchError> {
-        let hits = self.k_nearest_observed(database, 1, counter, observer)?;
-        Ok(hits.into_iter().next().expect("k = 1 yields one hit"))
+        let hits = self.k_nearest(database, 1)?;
+        hits.into_iter().next().ok_or(SearchError::EmptyDatabase)
     }
 
     /// Exact k-nearest-neighbour search (ties broken by database order).
     pub fn k_nearest(&self, database: &[Vec<f64>], k: usize) -> Result<Vec<Neighbor>, SearchError> {
-        let mut counter = StepCounter::new();
-        self.k_nearest_with_steps(database, k, &mut counter)
+        self.plain(database, QueryKind::KNearest(k))
     }
 
-    /// k-NN with step accounting.
-    pub fn k_nearest_with_steps(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        self.k_nearest_observed(database, k, counter, &mut NoopObserver)
+    /// Exact range query: every item within `radius` (inclusive) of the
+    /// query under the engine's measure, in database order.
+    pub fn range(&self, database: &[Vec<f64>], radius: f64) -> Result<Vec<Neighbor>, SearchError> {
+        self.plain(database, QueryKind::Range(radius))
     }
 
-    /// k-NN with step accounting and observer callbacks.
-    pub fn k_nearest_observed<O: SearchObserver>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        // NoBudget monomorphizes every budget check to a constant, so
-        // this is the exact pre-budget scan — see tests/profiling.rs.
-        Ok(self
-            .k_nearest_budgeted(database, k, counter, observer, &mut NoBudget)?
-            .into_inner())
+    fn plain(&self, database: &[Vec<f64>], kind: QueryKind) -> Result<Vec<Neighbor>, SearchError> {
+        let outcome = self.search(
+            database,
+            kind,
+            &mut StepCounter::new(),
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )?;
+        Ok(outcome.into_inner())
     }
 
-    /// 1-NN under a [`BudgetHook`]: like
-    /// [`nearest_observed`](Self::nearest_observed) but the budget is
-    /// checked before every candidate item and inside every wedge walk.
-    /// On exhaustion the partial result is the best neighbour among the
-    /// items fully or partially scanned so far — `None` only when the
-    /// budget tripped before any leaf was admitted.
-    pub fn nearest_budgeted<O: SearchObserver, B: BudgetHook>(
+    /// The full-control sequential search.
+    ///
+    /// - `counter` accumulates the paper's `num_steps` (Figures 19–23).
+    /// - `observer` sees every wedge test, prune, early abandon and
+    ///   planner decision (typically a [`rotind_obs::QueryTrace`]); it
+    ///   never changes the answer or the step count.
+    /// - `budget` is checked at every dismissal boundary: before each
+    ///   database item and before each popped wedge. On exhaustion the
+    ///   partial hits hold exact distances for every admitted item but
+    ///   may miss closer items that were never (or only partially)
+    ///   scanned. [`NoBudget`] and [`NoopObserver`] monomorphize to the
+    ///   plain scan.
+    /// - `cache` shares candidate PAA projections across queries. The
+    ///   projection is query-independent, so results are bit-identical;
+    ///   only later queries' step counts drop. It must have been built at
+    ///   this engine's cascade `dims`.
+    ///
+    /// [`QueryKind::Nearest`] answers a zero-or-one element vector
+    /// (empty only when the budget tripped before any item was admitted).
+    pub fn search<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-    ) -> Result<BudgetOutcome<Option<Neighbor>>, SearchError> {
-        Ok(self
-            .k_nearest_budgeted(database, 1, counter, observer, budget)?
-            .map(|hits| hits.into_iter().next()))
-    }
-
-    /// k-NN under a [`BudgetHook`] (see
-    /// [`nearest_budgeted`](Self::nearest_budgeted)): the budget is
-    /// checked at every dismissal boundary — before each database item
-    /// here, and before each popped wedge inside H-Merge. On exhaustion
-    /// the partial heap holds exact distances for every admitted item,
-    /// but may miss closer items that were never (or only partially)
-    /// scanned.
-    pub fn k_nearest_budgeted<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
+        kind: QueryKind,
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
+        cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.k_nearest_budgeted_src(database, k, counter, observer, budget, &mut FreshPaa)
+        let mut hits = self.validate(database, kind)?;
+        if let Some(cache) = &cache {
+            let dims = self.cascade.config().dims;
+            if cache.dims() != dims {
+                return Err(SearchError::invalid_param(
+                    "cache",
+                    format!(
+                        "BatchPaaCache built at dims {} but this engine projects at dims {dims}",
+                        cache.dims()
+                    ),
+                ));
+            }
+        }
+        observer.on_phase_start(ProfilePhase::Query, counter.steps());
+        ScanState::new(self).run(
+            database, 0, &mut hits, counter, observer, budget, cache, None,
+        );
+        observer.on_phase_end(ProfilePhase::Query, counter.steps());
+        Ok(finish(hits.list, budget.trip_reason(), counter.steps()))
     }
 
-    /// [`k_nearest_budgeted`](Self::k_nearest_budgeted) sharing a
-    /// [`BatchPaaCache`] of candidate PAA projections across queries.
-    /// Results are bit-identical to the uncached scan (the projection
-    /// is query-independent); only the step counts of queries after
-    /// the first drop, by the amortized `O(n)` projections. The cache
-    /// must have been built at this engine's cascade `dims`.
+    /// k-NN through a [`BatchPaaCache`]: [`search`](Self::search) with
+    /// [`QueryKind::KNearest`]. Kept as a delegate because the benchmark
+    /// harness under `perfbench/` calls it by name.
     pub fn k_nearest_budgeted_cached<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
@@ -316,131 +329,13 @@ impl RotationQuery {
         budget: &mut B,
         cache: &mut BatchPaaCache,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.check_cache(cache)?;
-        self.k_nearest_budgeted_src(database, k, counter, observer, budget, &mut &mut *cache)
+        let kind = QueryKind::KNearest(k);
+        self.search(database, kind, counter, observer, budget, Some(cache))
     }
 
-    fn k_nearest_budgeted_src<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        k: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        paa_src: &mut impl PaaSource,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        if k == 0 {
-            return Err(SearchError::invalid_param("k", "must be >= 1"));
-        }
-        if database.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        self.check_all(database)?;
-
-        observer.on_phase_start(ProfilePhase::Query, counter.steps());
-        // Max-heap of the k best by distance; best-so-far is the k-th
-        // best (pruning only starts once k hits are held).
-        let mut heap: Vec<Neighbor> = Vec::with_capacity(k + 1);
-        let mut scan = ScanState::new(
-            &self.tree,
-            &self.cascade,
-            self.k_policy,
-            self.probe_intervals,
-        );
-        for (index, item) in database.iter().enumerate() {
-            // Dismissal boundary: stop admitting new candidates once the
-            // budget trips (the sticky hook also cuts the wedge walk
-            // below, so at most one partial walk runs after a trip).
-            if !budget.check(counter.steps()) {
-                break;
-            }
-            let bsf = if heap.len() == k {
-                heap.last().map_or(f64::INFINITY, |h| h.distance)
-            } else {
-                f64::INFINITY
-            };
-            let mut ctx = paa_src.take(index);
-            let compared = scan.compare_budgeted_ctx(
-                item,
-                bsf,
-                self.measure,
-                counter,
-                observer,
-                budget,
-                &mut ctx,
-            );
-            paa_src.put(index, ctx);
-            if let Some(outcome) = compared {
-                // H-Merge admits inclusively, so with a full heap an item
-                // at exactly the k-th distance comes back `Some`; it
-                // cannot displace the (lower-index) incumbent, so skip it
-                // rather than churn the heap and the planner. `>=` here is
-                // not a false dismissal: the tie at exactly `bsf` is
-                // already held by a lower index.
-                // rotind-lint: allow(strict-dismissal)
-                if heap.len() == k && outcome.distance >= bsf {
-                    continue;
-                }
-                heap.push(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                });
-                heap.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-                if heap.len() > k {
-                    heap.pop();
-                }
-                scan.notify_improvement_observed(observer);
-            }
-        }
-        observer.on_phase_end(ProfilePhase::Query, counter.steps());
-        Ok(match budget.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: heap,
-                reason,
-                steps_spent: counter.steps(),
-            }),
-            None => BudgetOutcome::Complete(heap),
-        })
-    }
-
-    /// Exact range query: every item within `radius` (inclusive) of the
-    /// query under the engine's measure.
-    pub fn range(&self, database: &[Vec<f64>], radius: f64) -> Result<Vec<Neighbor>, SearchError> {
-        let mut counter = StepCounter::new();
-        self.range_observed(database, radius, &mut counter, &mut NoopObserver)
-    }
-
-    /// Range query with step accounting and observer callbacks.
-    pub fn range_observed<O: SearchObserver>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        Ok(self
-            .range_budgeted(database, radius, counter, observer, &mut NoBudget)?
-            .into_inner())
-    }
-
-    /// Range query under a [`BudgetHook`] (see
-    /// [`k_nearest_budgeted`](Self::k_nearest_budgeted)): on exhaustion
-    /// the partial hit list covers the scanned prefix of the database.
-    pub fn range_budgeted<O: SearchObserver, B: BudgetHook>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.range_budgeted_src(database, radius, counter, observer, budget, &mut FreshPaa)
-    }
-
-    /// [`range_budgeted`](Self::range_budgeted) sharing a
-    /// [`BatchPaaCache`] across queries (see
-    /// [`k_nearest_budgeted_cached`](Self::k_nearest_budgeted_cached)).
+    /// Range query through a [`BatchPaaCache`]: [`search`](Self::search)
+    /// with [`QueryKind::Range`]. Kept as a delegate because the
+    /// benchmark harness under `perfbench/` calls it by name.
     pub fn range_budgeted_cached<O: SearchObserver, B: BudgetHook>(
         &self,
         database: &[Vec<f64>],
@@ -450,248 +345,257 @@ impl RotationQuery {
         budget: &mut B,
         cache: &mut BatchPaaCache,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        self.check_cache(cache)?;
-        self.range_budgeted_src(
-            database,
-            radius,
-            counter,
-            observer,
-            budget,
-            &mut &mut *cache,
-        )
+        let kind = QueryKind::Range(radius);
+        self.search(database, kind, counter, observer, budget, Some(cache))
     }
 
-    fn range_budgeted_src<O: SearchObserver, B: BudgetHook>(
+    /// Check the query parameters and every database item, and return
+    /// the empty hit list the scan fills.
+    pub(crate) fn validate(
         &self,
         database: &[Vec<f64>],
-        radius: f64,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        paa_src: &mut impl PaaSource,
-    ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
-        }
-        self.check_all(database)?;
-        observer.on_phase_start(ProfilePhase::Query, counter.steps());
-        let mut scan = ScanState::new(
-            &self.tree,
-            &self.cascade,
-            self.k_policy,
-            self.probe_intervals,
-        );
-        let mut out = Vec::new();
-        for (index, item) in database.iter().enumerate() {
-            // Dismissal boundary (see k_nearest_budgeted).
-            if !budget.check(counter.steps()) {
-                break;
-            }
-            // H-Merge admits inclusively (`d == radius` matches), so the
-            // radius is passed straight through — no epsilon padding.
-            let mut ctx = paa_src.take(index);
-            let compared = scan.compare_budgeted_ctx(
-                item,
+        kind: QueryKind,
+    ) -> Result<Hits, SearchError> {
+        let hits = match kind {
+            QueryKind::Nearest => Hits::top(1),
+            QueryKind::KNearest(0) => return Err(SearchError::invalid_param("k", "must be >= 1")),
+            QueryKind::KNearest(k) => Hits::top(k),
+            QueryKind::Range(radius) if radius.is_finite() && radius >= 0.0 => Hits {
+                cap: None,
                 radius,
-                self.measure,
-                counter,
-                observer,
-                budget,
-                &mut ctx,
-            );
-            paa_src.put(index, ctx);
-            if let Some(outcome) = compared {
-                out.push(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                });
+                list: Vec::new(),
+            },
+            QueryKind::Range(_) => {
+                return Err(SearchError::invalid_param(
+                    "radius",
+                    "must be finite and >= 0",
+                ))
             }
+        };
+        if hits.cap.is_some() && database.is_empty() {
+            return Err(SearchError::EmptyDatabase);
         }
-        observer.on_phase_end(ProfilePhase::Query, counter.steps());
-        Ok(match budget.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: out,
-                reason,
-                steps_spent: counter.steps(),
-            }),
-            None => BudgetOutcome::Complete(out),
-        })
-    }
-
-    fn check_cache(&self, cache: &BatchPaaCache) -> Result<(), SearchError> {
-        let dims = self.cascade.config().dims;
-        if cache.dims() != dims {
-            return Err(SearchError::invalid_param(
-                "cache",
-                format!(
-                    "BatchPaaCache built at dims {} but this engine projects at dims {dims}",
-                    cache.dims()
-                ),
-            ));
+        let n = self.series_len();
+        for (index, item) in database.iter().enumerate() {
+            check_series(index, item, n)?;
         }
-        Ok(())
-    }
-
-    pub(crate) fn check_len(&self, index: usize, item: &[f64]) -> Result<(), SearchError> {
-        let expected = self.series_len();
-        if item.len() != expected {
-            return Err(SearchError::LengthMismatch {
-                index,
-                expected,
-                actual: item.len(),
-            });
-        }
-        Ok(())
-    }
-
-    pub(crate) fn check_all(&self, database: &[Vec<f64>]) -> Result<(), SearchError> {
-        for (i, item) in database.iter().enumerate() {
-            self.check_len(i, item)?;
-        }
-        Ok(())
+        Ok(hits)
     }
 }
 
-/// Where the scan loop gets each candidate's [`CandidateCtx`]: a fresh
-/// (empty) context per item for plain scans, or a [`BatchPaaCache`]
-/// slot for the cached entry points. Private — the public surface is
-/// the `*_cached` methods.
-trait PaaSource {
-    /// The context for candidate `index`.
-    fn take(&mut self, index: usize) -> CandidateCtx;
-    /// Return the context after the scan of candidate `index`.
-    fn put(&mut self, index: usize, ctx: CandidateCtx);
-}
-
-/// Fresh context per candidate: the uncached scan, bit-identical to
-/// the historical code path.
-struct FreshPaa;
-
-impl PaaSource for FreshPaa {
-    fn take(&mut self, _index: usize) -> CandidateCtx {
-        CandidateCtx::new()
+/// Reject an item whose length is not `expected` or that holds a NaN or
+/// an infinity. Non-finite samples are a defect, not a far match: the
+/// LB clamp treats NaN as inside the envelope, so such an item could be
+/// admitted at a finite distance no rotation achieves.
+pub(crate) fn check_series(index: usize, item: &[f64], expected: usize) -> Result<(), SearchError> {
+    if item.len() != expected {
+        return Err(SearchError::LengthMismatch {
+            index,
+            expected,
+            actual: item.len(),
+        });
     }
-
-    fn put(&mut self, _index: usize, _ctx: CandidateCtx) {}
-}
-
-impl PaaSource for &mut BatchPaaCache {
-    fn take(&mut self, index: usize) -> CandidateCtx {
-        BatchPaaCache::take(self, index)
-    }
-
-    fn put(&mut self, index: usize, ctx: CandidateCtx) {
-        BatchPaaCache::put(self, index, ctx);
+    match item.iter().position(|x| !x.is_finite()) {
+        Some(position) => Err(SearchError::NonFinite { index, position }),
+        None => Ok(()),
     }
 }
 
-/// Per-scan state: the K planner plus a cache of dendrogram cuts.
-/// `pub(crate)` so the parallel scan (`crate::parallel`) can give each
-/// worker thread its own independent planner and cut cache.
+/// Wrap a scan's hits as complete, or as exhausted when the budget
+/// tripped.
+pub(crate) fn finish(
+    hits: Vec<Neighbor>,
+    tripped: Option<BudgetReason>,
+    steps_spent: u64,
+) -> BudgetOutcome<Vec<Neighbor>> {
+    match tripped {
+        Some(reason) => BudgetOutcome::Exhausted(Exhausted {
+            partial: hits,
+            reason,
+            steps_spent,
+        }),
+        None => BudgetOutcome::Complete(hits),
+    }
+}
+
+/// The hits one scan (or one parallel chunk) has admitted so far.
+#[derive(Debug, Clone)]
+pub(crate) struct Hits {
+    /// `Some(k)`: keep the `k` best, sorted by distance, ties in scan
+    /// order. `None`: a range scan keeps every admitted item in scan
+    /// order.
+    cap: Option<usize>,
+    /// The fixed admission radius: `+∞` for k-NN.
+    radius: f64,
+    list: Vec<Neighbor>,
+}
+
+impl Hits {
+    fn top(k: usize) -> Self {
+        Hits {
+            cap: Some(k),
+            radius: f64::INFINITY,
+            list: Vec::new(),
+        }
+    }
+
+    /// True for k-NN, whose threshold tightens as hits arrive.
+    pub(crate) fn tightens(&self) -> bool {
+        self.cap.is_some()
+    }
+
+    /// The threshold the next item is walked under: the k-th best once
+    /// `k` hits are held, the fixed radius otherwise.
+    fn threshold(&self) -> f64 {
+        match self.cap {
+            Some(k) if self.list.len() >= k => self.list.last().map_or(self.radius, |h| h.distance),
+            _ => self.radius,
+        }
+    }
+
+    /// Admit a hit. Returns true when the k-NN list changed, which is
+    /// the planner's cue that best-so-far improved.
+    fn offer(&mut self, hit: Neighbor) -> bool {
+        let Some(k) = self.cap else {
+            self.list.push(hit);
+            return false;
+        };
+        // H-Merge admits inclusively, so with a full list an item at
+        // exactly the k-th distance comes back `Some`; it cannot
+        // displace the (lower-index) incumbent, so skip it rather than
+        // churn the list and the planner. `>=` here is not a false
+        // dismissal: the tie at exactly the threshold is already held
+        // by a lower index.
+        // rotind-lint: allow(strict-dismissal)
+        if self.list.len() >= k && hit.distance >= self.threshold() {
+            return false;
+        }
+        self.list.push(hit);
+        self.list.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+        self.list.truncate(k);
+        true
+    }
+
+    /// Merge chunk hit lists given in chunk order. Range hits simply
+    /// concatenate; k-NN lists are stably sorted by distance, so equal
+    /// distances keep chunk order — the sequential lowest-index
+    /// tie-break — and cut to `k`.
+    pub(crate) fn merge_chunks(parts: Vec<Hits>) -> Vec<Neighbor> {
+        let cap = parts.first().and_then(|h| h.cap);
+        let mut all: Vec<Neighbor> = parts.into_iter().flat_map(|h| h.list).collect();
+        if let Some(k) = cap {
+            all.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+            all.truncate(k);
+        }
+        all
+    }
+}
+
+/// Per-scan state: the K planner plus a cache of dendrogram cuts. Every
+/// sequential search and every parallel worker owns one.
 pub(crate) struct ScanState<'a> {
-    tree: &'a WedgeTree,
-    cascade: &'a BoundCascade,
+    engine: &'a RotationQuery,
     planner: KPlanner,
     fixed_k: Option<usize>,
     cuts: HashMap<usize, Vec<usize>>,
 }
 
 impl<'a> ScanState<'a> {
-    pub(crate) fn new(
-        tree: &'a WedgeTree,
-        cascade: &'a BoundCascade,
-        policy: KPolicy,
-        probe_intervals: usize,
-    ) -> Self {
-        let planner = KPlanner::with_intervals(tree.max_k(), probe_intervals);
-        let fixed_k = match policy {
+    pub(crate) fn new(engine: &'a RotationQuery) -> Self {
+        let max_k = engine.tree.max_k();
+        let planner = KPlanner::with_intervals(max_k, engine.probe_intervals);
+        let fixed_k = match engine.k_policy {
             KPolicy::Dynamic => None,
-            KPolicy::Fixed(k) => Some(k.clamp(1, tree.max_k())),
+            KPolicy::Fixed(k) => Some(k.clamp(1, max_k)),
         };
         ScanState {
-            tree,
-            cascade,
+            engine,
             planner,
             fixed_k,
             cuts: HashMap::new(),
         }
     }
 
-    fn cut(&mut self, k: usize) -> &[usize] {
-        let tree = self.tree;
-        self.cuts.entry(k).or_insert_with(|| tree.cut_nodes(k))
-    }
-
-    pub(crate) fn notify_improvement_observed<O: SearchObserver>(&mut self, observer: &mut O) {
-        if self.fixed_k.is_none() {
-            self.planner.on_best_so_far_change_observed(observer);
-        }
-    }
-
-    /// Compare one database item against the query's wedge tree under the
-    /// current best-so-far. Under the dynamic policy, probe-cycle
-    /// candidates are tried on consecutive items and their `num_steps`
-    /// reported back to the planner — no extra work is performed, so the
-    /// probe cost is (trivially) included in every experiment.
+    /// The one per-item scan loop (the paper's `NNSearch`, Table 7):
+    /// walk each item of `items` (database indices from `first`) under
+    /// the current threshold and offer every admitted item to `hits`.
     ///
-    /// Under a [`BudgetHook`], a tripped budget cuts the wedge walk at
-    /// the next popped node. The (possibly truncated) step cost is
-    /// still fed to the planner — its probes only tune future work,
-    /// never exactness. Un-budgeted callers pass [`NoBudget`].
-    pub(crate) fn compare_budgeted<O: SearchObserver, B: BudgetHook>(
+    /// - The budget is checked before each item; a tripped budget also
+    ///   cuts the wedge walk at its next popped node.
+    /// - Under the dynamic policy, probe-cycle candidates are tried on
+    ///   consecutive items and their `num_steps` reported back to the
+    ///   planner — no extra work is performed, so the probe cost is
+    ///   (trivially) included in every experiment. A truncated walk's
+    ///   cost is fed back too: probes tune future work, never exactness.
+    /// - `shared` is the parallel k-NN radius: the minimum of the chunk
+    ///   k-th bests. Each is an achieved distance no smaller than the
+    ///   global k-th best and admission is inclusive, so walking under
+    ///   it never loses a global answer.
+    #[allow(clippy::too_many_arguments)] // the loop's whole context, one call per scan
+    pub(crate) fn run<O: SearchObserver, B: BudgetHook>(
         &mut self,
-        item: &[f64],
-        bsf: f64,
-        measure: Measure,
+        items: &[Vec<f64>],
+        first: usize,
+        hits: &mut Hits,
         counter: &mut StepCounter,
         observer: &mut O,
         budget: &mut B,
-    ) -> Option<HMergeOutcome> {
-        let mut ctx = CandidateCtx::new();
-        self.compare_budgeted_ctx(item, bsf, measure, counter, observer, budget, &mut ctx)
-    }
-
-    /// [`compare_budgeted`](Self::compare_budgeted) with a caller-owned
-    /// candidate context, so batch scans can reuse a cached PAA
-    /// projection (see [`BatchPaaCache`]).
-    #[allow(clippy::too_many_arguments)] // mirrors compare_budgeted + the ctx
-    pub(crate) fn compare_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
-        &mut self,
-        item: &[f64],
-        bsf: f64,
-        measure: Measure,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &mut B,
-        ctx: &mut CandidateCtx,
-    ) -> Option<HMergeOutcome> {
-        let k = match self.fixed_k {
-            Some(k) => k,
-            None => self.planner.next_k(),
-        };
-        let cut = self.cut(k).to_vec();
-        let before = *counter;
-        let outcome = h_merge_cascade_budgeted_ctx(
-            item,
-            self.tree,
-            self.cascade,
-            &cut,
-            bsf,
-            measure,
-            counter,
-            observer,
-            budget,
-            ctx,
-        );
-        if self.fixed_k.is_none() {
-            self.planner
-                .record_observed(counter.since(before), observer);
+        mut cache: Option<&mut BatchPaaCache>,
+        shared: Option<&SharedRadius>,
+    ) {
+        let engine = self.engine;
+        for (index, item) in (first..).zip(items) {
+            if !budget.check(counter.steps()) {
+                break;
+            }
+            let own = hits.threshold();
+            let bsf = shared.map_or(own, |s| own.min(s.get()));
+            let k = match self.fixed_k {
+                Some(k) => k,
+                None => self.planner.next_k(),
+            };
+            let tree = &engine.tree;
+            let cut = self.cuts.entry(k).or_insert_with(|| tree.cut_nodes(k));
+            let mut ctx = cache
+                .as_deref_mut()
+                .map_or_else(CandidateCtx::new, |c| c.take(index));
+            let before = *counter;
+            let outcome = h_merge_cascade(
+                item,
+                tree,
+                &engine.cascade,
+                cut,
+                bsf,
+                engine.measure,
+                counter,
+                observer,
+                budget,
+                &mut ctx,
+            );
+            if let Some(c) = cache.as_deref_mut() {
+                c.put(index, ctx);
+            }
+            if self.fixed_k.is_none() {
+                self.planner
+                    .record_observed(counter.since(before), observer);
+            }
+            let Some(outcome) = outcome else {
+                continue;
+            };
+            let hit = Neighbor {
+                index,
+                distance: outcome.distance,
+                rotation: outcome.rotation,
+            };
+            if hits.offer(hit) {
+                if let Some(s) = shared {
+                    s.update_min(hits.threshold());
+                }
+                if self.fixed_k.is_none() {
+                    self.planner.on_best_so_far_change_observed(observer);
+                }
+            }
         }
-        outcome
     }
 }
 
@@ -712,6 +616,21 @@ mod tests {
         // Phases start away from the query phases used in the tests so no
         // database item accidentally coincides with a query.
         (0..m).map(|k| signal(n, 1.0 + k as f64 * 0.37)).collect()
+    }
+
+    /// `search` with a step counter and an observer, unbudgeted and
+    /// uncached.
+    fn observed<O: SearchObserver>(
+        engine: &RotationQuery,
+        db: &[Vec<f64>],
+        kind: QueryKind,
+        counter: &mut StepCounter,
+        observer: &mut O,
+    ) -> Vec<Neighbor> {
+        engine
+            .search(db, kind, counter, observer, &mut NoBudget, None)
+            .unwrap()
+            .into_inner()
     }
 
     #[test]
@@ -1010,6 +929,28 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_items_are_rejected_with_their_position() {
+        // The LB clamp treats NaN as inside the envelope, so an item
+        // holding one could be admitted at a finite distance that no
+        // rotation achieves. Every entry point must refuse it instead.
+        let n = 16;
+        let engine = RotationQuery::new(&signal(n, 0.0), Invariance::Rotation).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut db = database(8, n);
+            db[3][5] = bad;
+            let expected = SearchError::NonFinite {
+                index: 3,
+                position: 5,
+            };
+            assert_eq!(engine.nearest(&db).unwrap_err(), expected);
+            assert_eq!(engine.k_nearest(&db, 2).unwrap_err(), expected);
+            assert_eq!(engine.range(&db, 1.0).unwrap_err(), expected);
+            let err = engine.distance_to(&db[3]).unwrap_err();
+            assert!(matches!(err, SearchError::NonFinite { position: 5, .. }));
+        }
+    }
+
+    #[test]
     fn distance_to_matches_oracle() {
         let query = signal(26, 0.0);
         let candidate = signal(26, 1.4);
@@ -1032,13 +973,24 @@ mod tests {
         let db = database(60, n);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let mut plain_steps = StepCounter::new();
-        let plain = engine.nearest_with_steps(&db, &mut plain_steps).unwrap();
+        let plain = observed(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut plain_steps,
+            &mut NoopObserver,
+        );
+        assert_eq!(plain, vec![engine.nearest(&db).unwrap()]);
         let mut trace = QueryTrace::new(n);
         let mut observed_steps = StepCounter::new();
-        let observed = engine
-            .nearest_observed(&db, &mut observed_steps, &mut trace)
-            .unwrap();
-        assert_eq!(plain, observed);
+        let traced = observed(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut observed_steps,
+            &mut trace,
+        );
+        assert_eq!(plain, traced);
         assert_eq!(plain_steps.steps(), observed_steps.steps());
         assert!(trace.leaf_distances() > 0);
         assert!(trace.wedges_tested() > 0);
@@ -1061,10 +1013,14 @@ mod tests {
         let plain = engine.range(&db, radius).unwrap();
         let mut trace = QueryTrace::new(n);
         let mut counter = StepCounter::new();
-        let observed = engine
-            .range_observed(&db, radius, &mut counter, &mut trace)
-            .unwrap();
-        assert_eq!(plain, observed);
+        let traced = observed(
+            &engine,
+            &db,
+            QueryKind::Range(radius),
+            &mut counter,
+            &mut trace,
+        );
+        assert_eq!(plain, traced);
         assert!(counter.steps() > 0);
         assert!(trace.leaf_distances() > 0);
     }
@@ -1087,7 +1043,13 @@ mod tests {
         db[120] = rotated(&query, 31);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let mut wedge_steps = StepCounter::new();
-        engine.nearest_with_steps(&db, &mut wedge_steps).unwrap();
+        observed(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            &mut wedge_steps,
+            &mut NoopObserver,
+        );
         let matrix = RotationMatrix::full(&query).unwrap();
         let mut ea_steps = StepCounter::new();
         search_database(&matrix, &db, Measure::Euclidean, &mut ea_steps).unwrap();

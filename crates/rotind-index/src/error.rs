@@ -16,6 +16,13 @@ pub enum SearchError {
         /// Actual length of the item.
         actual: usize,
     },
+    /// A database item holds a NaN or an infinity.
+    NonFinite {
+        /// Index of the offending database item.
+        index: usize,
+        /// Position of the first non-finite sample in the item.
+        position: usize,
+    },
     /// An invalid parameter (e.g. `k = 0` for k-NN).
     InvalidParam {
         /// Parameter name.
@@ -47,6 +54,10 @@ impl fmt::Display for SearchError {
                 f,
                 "database item {index} has length {actual}, expected {expected}"
             ),
+            SearchError::NonFinite { index, position } => write!(
+                f,
+                "database item {index} has a non-finite sample at position {position}"
+            ),
             SearchError::InvalidParam { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -72,6 +83,14 @@ mod tests {
             actual: 32,
         };
         assert_eq!(e.to_string(), "database item 3 has length 32, expected 64");
+        assert_eq!(
+            SearchError::NonFinite {
+                index: 3,
+                position: 5
+            }
+            .to_string(),
+            "database item 3 has a non-finite sample at position 5"
+        );
         assert_eq!(
             SearchError::invalid_param("k", "must be >= 1").to_string(),
             "invalid parameter `k`: must be >= 1"

@@ -8,18 +8,20 @@
 //! to single-rotation leaves where the exact measure is evaluated.
 //!
 //! The paper's Table 6 is phrased for query filtering (return the first
-//! leaf within `r`); the search engines need the *best* rotation, so this
-//! implementation keeps scanning with the running best as the abandoning
-//! threshold — exactly how `NNSearch` (Table 7) consumes it.
+//! leaf within `r`); the search engines need the *best* rotation, so the
+//! one walk here, [`h_merge_cascade`], keeps scanning with the running
+//! best as the abandoning threshold — exactly how `NNSearch` (Table 7)
+//! consumes it. Streaming filters use their own first-match loop
+//! ([`crate::stream`]).
 
 use crate::cascade::{BoundCascade, CandidateCtx};
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::{
     lb_improved_second_pass, lb_keogh_early_abandon_at, lb_keogh_reordered_early_abandon_at,
-    lb_kim, lcss_distance_lower_bound, lcss_distance_lower_bound_with,
+    lb_kim, lcss_distance_lower_bound_with,
 };
 use rotind_envelope::WedgeTree;
-use rotind_obs::{BudgetHook, CascadeTier, NoBudget, NoopObserver, ProfilePhase, SearchObserver};
+use rotind_obs::{BudgetHook, CascadeTier, ProfilePhase, SearchObserver};
 use rotind_ts::rotate::Rotation;
 use rotind_ts::StepCounter;
 
@@ -47,46 +49,6 @@ fn rotation_key(r: Rotation) -> (bool, usize) {
     (r.mirrored, r.shift)
 }
 
-/// Result of bounding one wedge node against the threshold (used by the
-/// Table 6 filter; the search scan runs the tier cascade instead).
-enum NodeBound {
-    /// The bound admits the subtree; the value is exact.
-    Admitted(f64),
-    /// The subtree is pruned.
-    Pruned,
-}
-
-/// Lower bound of `measure` from `candidate` to every rotation covered by
-/// `node`'s wedge, with pruning diagnostics for the observer.
-fn node_lower_bound(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    node: usize,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> NodeBound {
-    match measure {
-        Measure::Euclidean | Measure::Dtw(_) => {
-            // For DTW the tree's lb wedges are pre-widened by the band
-            // (Proposition 2); for Euclidean they are the plain wedges
-            // (Proposition 1).
-            match lb_keogh_early_abandon_at(candidate, tree.lb_wedge(node), r, counter) {
-                Ok(lb) => NodeBound::Admitted(lb),
-                Err(_position) => NodeBound::Pruned,
-            }
-        }
-        Measure::Lcss(p) => {
-            let lb = lcss_distance_lower_bound(candidate, tree.wedge(node), p, counter);
-            if lb <= r {
-                NodeBound::Admitted(lb)
-            } else {
-                NodeBound::Pruned
-            }
-        }
-    }
-}
-
 /// Exact distance at a single-rotation leaf, early-abandoning against `r`.
 fn leaf_distance(
     candidate: &[f64],
@@ -110,61 +72,6 @@ fn leaf_distance(
     }
 }
 
-/// Scan the wedge set `cut` (node ids of `tree`) for the best rotation
-/// match to `candidate` within `r` (inclusive: a rotation at exactly
-/// distance `r` is returned). Returns `None` only when every rotation is
-/// provably farther than `r`. Exact-distance ties are broken by the
-/// canonical rotation order ([`rotation_key`]), never by traversal order.
-pub fn h_merge(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> Option<HMergeOutcome> {
-    h_merge_observed(candidate, tree, cut, r, measure, counter, &mut NoopObserver)
-}
-
-/// [`h_merge`] reporting every wedge test, prune, early abandon and leaf
-/// distance to `observer`.
-///
-/// Event semantics:
-/// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
-///   bound, with `level` the descent depth below the cut (cut members
-///   are level 0). For bounds that early-abandoned, the exact `lb` is
-///   unknown; the crossed threshold (`best_so_far`) is reported in its
-///   place.
-/// - `on_early_abandon(position)` follows a pruned LB_Keogh bound with
-///   the number of query positions consumed.
-/// - A *Euclidean leaf* is special: its singleton-wedge bound **is** the
-///   exact distance (Section 4.1), so an admitted one fires only
-///   `on_leaf_distance` — this keeps the observer's picture faithful
-///   (no bound was tested, a distance was computed) and lets traces pair
-///   each leaf distance with the most recent admitted ancestor bound
-///   for LB-tightness accounting.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge + the observer
-pub fn h_merge_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    h_merge_cascade_observed(
-        candidate,
-        tree,
-        &BoundCascade::legacy(),
-        cut,
-        r,
-        measure,
-        counter,
-        observer,
-    )
-}
-
 /// Run the bound cascade for one wedge node: the configured tiers in
 /// increasing cost order, each dismissing strictly against `best_so_far`
 /// before the next runs. Returns the tightest admitted bound, or `None`
@@ -175,7 +82,7 @@ pub fn h_merge_observed<O: SearchObserver>(
 // Admissibility: every tier delegates to a witnessed lb_* kernel in
 // rotind-envelope (lb_kim / PaaEnvelope::min_dist via PaaWedgeSet's
 // argument / lb_keogh_early_abandon_at / lb_improved_second_pass).
-#[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade_observed
+#[allow(clippy::too_many_arguments)] // one hot-path call site, in h_merge_cascade
 fn node_tier_bound<O: SearchObserver>(
     candidate: &[f64],
     tree: &WedgeTree,
@@ -334,79 +241,51 @@ fn node_tier_bound<O: SearchObserver>(
     }
 }
 
-/// [`h_merge_observed`] under an arbitrary [`BoundCascade`]: the tiered
-/// scan the engine runs. With [`BoundCascade::legacy`] it reproduces the
-/// historical single-bound scan step-for-step; with richer
-/// configurations extra tiers prune earlier but — every tier being
-/// admissible and every dismissal strict — the outcome is bit-identical
-/// (see `tests/cascade.rs`). Tier activity is reported through
-/// [`SearchObserver::on_cascade_tier`], *in addition to* the legacy
-/// per-wedge events: every pruned wedge is attributed to exactly one
-/// tier (LCSS keeps its own single envelope bound outside the cascade
-/// and fires no tier events).
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_observed + the cascade
-pub fn h_merge_cascade_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cascade: &BoundCascade,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    h_merge_cascade_budgeted(
-        candidate,
-        tree,
-        cascade,
-        cut,
-        r,
-        measure,
-        counter,
-        observer,
-        &mut NoBudget,
-    )
-}
-
-/// [`h_merge_cascade_observed`] under a [`BudgetHook`]: the budget is
-/// checked at every dismissal boundary (the top of the pop loop, before
-/// any bound is evaluated for the popped wedge). When it trips, the walk
-/// stops and the running best is returned — a valid *partial* result:
-/// every admitted leaf was fully evaluated, so the returned distance is
-/// exact for the rotations actually visited, just not necessarily the
-/// global minimum. With [`NoBudget`] the check monomorphizes to a
-/// constant `true` and this is bit-identical to the un-budgeted scan.
+/// H-Merge (Table 6) over the wedge set `cut` (node ids of `tree`): the
+/// best rotation match to `candidate` within `r`, inclusive — a rotation
+/// at exactly distance `r` is returned. Returns `None` only when every
+/// rotation is provably farther than `r`, or when the budget tripped
+/// before any leaf was admitted. Exact-distance ties are broken by the
+/// canonical rotation order (`rotation_key`), never by traversal
+/// order.
 ///
-/// The whole walk is bracketed in a [`ProfilePhase::WedgeMerge`] phase;
-/// tier evaluations and leaf distances report their own nested phases.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_cascade_observed + the budget
-pub fn h_merge_cascade_budgeted<O: SearchObserver, B: BudgetHook>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cascade: &BoundCascade,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-    budget: &mut B,
-) -> Option<HMergeOutcome> {
-    let mut ctx = CandidateCtx::new();
-    h_merge_cascade_budgeted_ctx(
-        candidate, tree, cascade, cut, r, measure, counter, observer, budget, &mut ctx,
-    )
-}
-
-/// [`h_merge_cascade_budgeted`] with a caller-owned [`CandidateCtx`]:
-/// the batch entry points pass a context taken from a
-/// [`crate::cascade::BatchPaaCache`], so a candidate's tier-2 PAA
-/// projection built by one query is reused (uncharged) by the next.
-/// The projection is query-independent, so the cached walk is
-/// result-identical to a fresh one — only the step accounting of
-/// later queries shrinks.
-#[allow(clippy::too_many_arguments)] // mirrors h_merge_cascade_budgeted + the ctx
+/// Each popped wedge runs the bound `cascade`. With
+/// [`BoundCascade::legacy`] that is the historical single LB_Keogh
+/// bound, step for step; richer configurations prune earlier, but every
+/// tier is admissible and every dismissal strict, so the outcome is
+/// bit-identical (see `tests/cascade.rs`). LCSS keeps its own single
+/// envelope bound outside the cascade.
+///
+/// `budget` is checked at every dismissal boundary: the top of the pop
+/// loop, before any bound is evaluated for the popped wedge. When it
+/// trips, the walk stops and returns the running best — a valid
+/// *partial* result, exact for the rotations actually visited. With
+/// [`rotind_obs::NoBudget`] the check is a constant `true`.
+///
+/// `ctx` holds the candidate's lazily built tier-2 PAA projection and
+/// the tier-4 scratch buffers. A fresh [`CandidateCtx::new`] is always
+/// correct; a context taken from a [`crate::cascade::BatchPaaCache`]
+/// reuses a projection built by an earlier query (the projection is
+/// query-independent, so only the step accounting changes).
+///
+/// Observer events:
+/// - `on_wedge_tested(level, lb, best_so_far, pruned)` fires per wedge
+///   bound, with `level` the descent depth below the cut (cut members
+///   are level 0). For bounds that early-abandoned, the exact `lb` is
+///   unknown; the crossed threshold (`best_so_far`) is reported in its
+///   place.
+/// - `on_early_abandon(position)` follows a pruned LB_Keogh bound with
+///   the number of query positions consumed.
+/// - `on_cascade_tier` attributes every pruned wedge to exactly one
+///   tier (LCSS fires no tier events).
+/// - A *Euclidean leaf* is special: its singleton-wedge bound **is** the
+///   exact distance (Section 4.1), so an admitted one fires only
+///   `on_leaf_distance`.
+/// - The whole walk is bracketed in a [`ProfilePhase::WedgeMerge`]
+///   phase; tier evaluations and leaf distances report nested phases.
+#[allow(clippy::too_many_arguments)] // the walk's whole context: one call per candidate
                                      // lint: panic-exempt(candidate length is validated against the snapshot at admission; the assert documents the contract)
-pub(crate) fn h_merge_cascade_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
+pub fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     candidate: &[f64],
     tree: &WedgeTree,
     cascade: &BoundCascade,
@@ -421,7 +300,7 @@ pub(crate) fn h_merge_cascade_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
     assert_eq!(
         candidate.len(),
         tree.matrix().series_len(),
-        "h_merge: candidate length mismatch"
+        "h_merge_cascade: candidate length mismatch"
     );
     observer.on_phase_start(ProfilePhase::WedgeMerge, counter.steps());
     let mut best: Option<HMergeOutcome> = None;
@@ -521,87 +400,64 @@ pub(crate) fn h_merge_cascade_budgeted_ctx<O: SearchObserver, B: BudgetHook>(
     best
 }
 
-/// Table 6 *verbatim*: a boolean query **filter**. Returns the first
-/// rotation found within `r` of the candidate (not necessarily the
-/// best), or `None` when every rotation is provably farther than `r`.
-///
-/// This is the streaming use-case the paper highlights (query filtering
-/// over streams, "Atomic Wedgie" \[40\]): for monitoring, *any* match
-/// within `r` suffices and scanning on after the first hit is wasted
-/// work. For nearest-neighbour search use [`h_merge`], which keeps
-/// scanning with the running best.
-pub fn h_merge_filter(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    cut: &[usize],
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> Option<HMergeOutcome> {
-    assert_eq!(
-        candidate.len(),
-        tree.matrix().series_len(),
-        "h_merge_filter: candidate length mismatch"
-    );
-    let mut stack: Vec<usize> = cut.to_vec();
-    while let Some(node) = stack.pop() {
-        let NodeBound::Admitted(lb) = node_lower_bound(candidate, tree, node, r, measure, counter)
-        else {
-            continue;
-        };
-        if tree.is_leaf(node) {
-            if let Some(d) = leaf_distance(candidate, tree, node, r, lb, measure, counter) {
-                if d <= r {
-                    return Some(HMergeOutcome {
-                        distance: d,
-                        rotation: tree.leaf_rotation(node),
-                    });
-                }
-            }
-        } else {
-            let (left, right) = tree.children(node).expect("internal node has children");
-            stack.push(left);
-            stack.push(right);
-        }
-    }
-    None
-}
-
-/// H-Merge over the whole tree starting from the root (`K = 1`).
-pub fn h_merge_from_root(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-) -> Option<HMergeOutcome> {
-    h_merge_from_root_observed(candidate, tree, r, measure, counter, &mut NoopObserver)
-}
-
-/// [`h_merge_from_root`] with observer callbacks (see
-/// [`h_merge_observed`] for the event semantics; the root is level 0).
-pub fn h_merge_from_root_observed<O: SearchObserver>(
-    candidate: &[f64],
-    tree: &WedgeTree,
-    r: f64,
-    measure: Measure,
-    counter: &mut StepCounter,
-    observer: &mut O,
-) -> Option<HMergeOutcome> {
-    let root = [tree.root()];
-    h_merge_observed(candidate, tree, &root, r, measure, counter, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rotind_distance::dtw::DtwParams;
     use rotind_distance::lcss::LcssParams;
     use rotind_distance::rotation::test_all_rotations;
+    use rotind_obs::{NoBudget, NoopObserver};
     use rotind_ts::rotate::{rotated, RotationMatrix};
 
     fn steps() -> StepCounter {
         StepCounter::new()
+    }
+
+    /// The walk under the legacy cascade, unbudgeted.
+    fn walk_observed<O: SearchObserver>(
+        candidate: &[f64],
+        tree: &WedgeTree,
+        cut: &[usize],
+        r: f64,
+        measure: Measure,
+        counter: &mut StepCounter,
+        observer: &mut O,
+    ) -> Option<HMergeOutcome> {
+        let cascade = BoundCascade::legacy();
+        let ctx = &mut CandidateCtx::new();
+        h_merge_cascade(
+            candidate,
+            tree,
+            &cascade,
+            cut,
+            r,
+            measure,
+            counter,
+            observer,
+            &mut NoBudget,
+            ctx,
+        )
+    }
+
+    fn walk(
+        candidate: &[f64],
+        tree: &WedgeTree,
+        cut: &[usize],
+        r: f64,
+        measure: Measure,
+        counter: &mut StepCounter,
+    ) -> Option<HMergeOutcome> {
+        walk_observed(candidate, tree, cut, r, measure, counter, &mut NoopObserver)
+    }
+
+    fn from_root(
+        candidate: &[f64],
+        tree: &WedgeTree,
+        r: f64,
+        measure: Measure,
+        counter: &mut StepCounter,
+    ) -> Option<HMergeOutcome> {
+        walk(candidate, tree, &[tree.root()], r, measure, counter)
     }
 
     fn signal(n: usize, phase: f64) -> Vec<f64> {
@@ -630,7 +486,7 @@ mod tests {
         .unwrap();
         for k in 1..=24 {
             let cut = tree.cut_nodes(k);
-            let got = h_merge(
+            let got = walk(
                 &candidate,
                 &tree,
                 &cut,
@@ -663,7 +519,7 @@ mod tests {
                     .unwrap();
             for k in [1usize, 2, 5, 10, 20] {
                 let cut = tree.cut_nodes(k);
-                let got = h_merge(
+                let got = walk(
                     &candidate,
                     &tree,
                     &cut,
@@ -686,7 +542,7 @@ mod tests {
         let query = signal(32, 0.0);
         let candidate = rotated(&query, 13);
         let tree = tree_for(&query, 0);
-        let got = h_merge_from_root(
+        let got = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -703,7 +559,7 @@ mod tests {
         let query = signal(18, 0.0);
         let candidate = signal(18, 2.2);
         let tree = tree_for(&query, 0);
-        let exact = h_merge_from_root(
+        let exact = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -712,7 +568,7 @@ mod tests {
         )
         .unwrap()
         .distance;
-        assert!(h_merge_from_root(
+        assert!(from_root(
             &candidate,
             &tree,
             exact * 0.99,
@@ -751,17 +607,13 @@ mod tests {
         let oracle = test_all_rotations(&candidate, &matrix, r, Measure::Euclidean, &mut steps())
             .expect("candidate at exactly r is admitted by the oracle");
         assert_eq!(oracle.distance, 3.0);
-        // H-Merge at every cut size, and the Table 6 filter.
+        // H-Merge at every cut size.
         for k in 1..=n {
             let cut = tree.cut_nodes(k);
-            let hit = h_merge(&candidate, &tree, &cut, r, Measure::Euclidean, &mut steps())
+            let hit = walk(&candidate, &tree, &cut, r, Measure::Euclidean, &mut steps())
                 .unwrap_or_else(|| panic!("k = {k}: candidate at exactly r must be returned"));
             assert_eq!(hit.distance, 3.0);
             assert_eq!(hit.rotation.shift, 0);
-            let filtered =
-                h_merge_filter(&candidate, &tree, &cut, r, Measure::Euclidean, &mut steps())
-                    .unwrap_or_else(|| panic!("k = {k}: filter must admit d == r"));
-            assert!(filtered.distance <= r);
         }
     }
 
@@ -779,7 +631,7 @@ mod tests {
         let tree = tree_for(&query, 0);
         for k in 1..=n {
             let cut = tree.cut_nodes(k);
-            let hit = h_merge(
+            let hit = walk(
                 &candidate,
                 &tree,
                 &cut,
@@ -807,7 +659,7 @@ mod tests {
         let tree = tree_for(&query, 0);
         let mut wedge_steps = steps();
         let cut = tree.cut_nodes(1);
-        assert!(h_merge(
+        assert!(walk(
             &candidate,
             &tree,
             &cut,
@@ -840,7 +692,7 @@ mod tests {
         // Mirror: the candidate is a rotated mirror image.
         let candidate = rotated(&rotind_ts::rotate::mirror(&query), 5);
         let tree = WedgeTree::new(RotationMatrix::with_mirror(&query).unwrap(), 0);
-        let got = h_merge_from_root(
+        let got = from_root(
             &candidate,
             &tree,
             f64::INFINITY,
@@ -854,77 +706,8 @@ mod tests {
         // Limited: a far rotation must not be matched exactly.
         let far = rotated(&query, 11);
         let tree = WedgeTree::new(RotationMatrix::limited(&query, 2).unwrap(), 0);
-        let got = h_merge_from_root(&far, &tree, f64::INFINITY, Measure::Euclidean, &mut steps())
-            .unwrap();
+        let got = from_root(&far, &tree, f64::INFINITY, Measure::Euclidean, &mut steps()).unwrap();
         assert!(got.distance > 0.1);
-    }
-
-    #[test]
-    fn filter_agrees_with_search_on_matchability() {
-        let query = signal(24, 0.0);
-        let tree = tree_for(&query, 0);
-        let cut = tree.cut_nodes(4);
-        for phase in [0.3, 0.9, 1.7, 2.8] {
-            let candidate = signal(24, phase);
-            let exact = h_merge(
-                &candidate,
-                &tree,
-                &cut,
-                f64::INFINITY,
-                Measure::Euclidean,
-                &mut steps(),
-            )
-            .unwrap()
-            .distance;
-            // r == exact exactly is FP-fragile (squaring the sqrt can
-            // round below the accumulated sum); pad by one ulp-ish.
-            for r in [exact * 0.5, exact + 1e-9, exact * 2.0] {
-                let hit =
-                    h_merge_filter(&candidate, &tree, &cut, r, Measure::Euclidean, &mut steps());
-                if exact <= r {
-                    let hit = hit.expect("a rotation within r exists");
-                    assert!(hit.distance <= r, "returned match must be within r");
-                } else {
-                    assert!(hit.is_none(), "no rotation within r exists");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn filter_stops_early_and_saves_steps() {
-        // A self-match is found long before all rotations are examined.
-        let query = signal(64, 0.0);
-        let tree = tree_for(&query, 0);
-        let cut = tree.cut_nodes(8);
-        let candidate = rotated(&query, 20);
-        let mut filter_steps = steps();
-        let hit = h_merge_filter(
-            &candidate,
-            &tree,
-            &cut,
-            1e-6,
-            Measure::Euclidean,
-            &mut filter_steps,
-        )
-        .unwrap();
-        assert_eq!(hit.rotation.shift, 20);
-        let mut search_steps = steps();
-        h_merge(
-            &candidate,
-            &tree,
-            &cut,
-            f64::INFINITY,
-            Measure::Euclidean,
-            &mut search_steps,
-        )
-        .unwrap();
-        assert!(
-            filter_steps.steps() < search_steps.steps(),
-            "filter {} !< search {}",
-            filter_steps.steps(),
-            search_steps.steps()
-        );
     }
 
     #[test]
@@ -937,7 +720,7 @@ mod tests {
         for phase in [0.7, 1.9, 3.1] {
             let candidate = signal(n, phase);
             let mut plain_steps = steps();
-            let plain = h_merge(
+            let plain = walk(
                 &candidate,
                 &tree,
                 &cut,
@@ -947,7 +730,7 @@ mod tests {
             );
             let mut trace = QueryTrace::new(n);
             let mut observed_steps = steps();
-            let observed = h_merge_observed(
+            let observed = walk_observed(
                 &candidate,
                 &tree,
                 &cut,
@@ -982,7 +765,7 @@ mod tests {
         let cut = tree.cut_nodes(1);
         let mut trace = QueryTrace::new(n);
         let mut counter = steps();
-        assert!(h_merge_observed(
+        assert!(walk_observed(
             &candidate,
             &tree,
             &cut,
@@ -1007,7 +790,7 @@ mod tests {
         let tree = tree_for(&query, 0);
         let cut = tree.cut_nodes(16);
         assert_eq!(cut.len(), 16);
-        let got = h_merge(
+        let got = walk(
             &candidate,
             &tree,
             &cut,

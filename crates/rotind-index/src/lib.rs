@@ -2,10 +2,11 @@
 //!
 //! The paper's search machinery (Section 4):
 //!
-//! * [`hmerge`] — the H-Merge algorithm (Table 6): traverse a wedge-set
-//!   cut of the hierarchical wedge tree with `EA_LB_Keogh`, descending
-//!   into child wedges only where the bound fails to prune, and
-//!   evaluating the exact measure at single-rotation leaves;
+//! * [`hmerge`] — the H-Merge algorithm (Table 6), one walk:
+//!   [`hmerge::h_merge_cascade`] traverses a wedge-set cut of the
+//!   hierarchical wedge tree with the bound cascade, descending into
+//!   child wedges only where no bound prunes, and evaluating the exact
+//!   measure at single-rotation leaves;
 //! * [`planner`] — the dynamic wedge-set-size controller: start at
 //!   `K = 2` and, each time the best-so-far improves, probe the values
 //!   that evenly divide `[1, K]` and `[K, K_max]` into five intervals,
@@ -13,14 +14,18 @@
 //! * [`engine`] — the user-facing [`engine::RotationQuery`]: exact
 //!   rotation-invariant nearest-neighbour / k-NN / range search over a
 //!   database, for Euclidean, DTW and LCSS, with mirror-image and
-//!   rotation-limited invariance;
+//!   rotation-limited invariance. `nearest` / `k_nearest` / `range` are
+//!   the convenience calls; [`engine::RotationQuery::search`] is the one
+//!   full-control entry (step counter, observer, budget, projection
+//!   cache), and every search runs its one per-item loop (Table 7);
 //! * [`cascade`] — the tiered admissible-bound cascade the engine runs
 //!   per (candidate, wedge) pair: the `O(1)` endpoint bound, the
 //!   reduced-space PAA bound, reordered early-abandoning LB_Keogh and
 //!   the LB_Improved second pass (DESIGN.md §12);
-//! * [`parallel`] — chunked multi-threaded database scans sharing an
-//!   atomic best-so-far, bit-identical to the sequential scan
-//!   (DESIGN.md §10), plus a batch-of-queries entry point;
+//! * [`parallel`] — [`engine::RotationQuery::search_parallel`]: the
+//!   same loop over contiguous database chunks, one thread each, with
+//!   k-NN sharing the minimum of the chunk k-th bests through an atomic
+//!   radius; bit-identical to the sequential scan (DESIGN.md §10);
 //! * [`radius`] — the CAS-min shared best-so-far those scans use,
 //!   model-checked under loom (`--features loom-tests`, DESIGN.md §14);
 //! * [`snapshot`] — the immutable, `Arc`-shared database handle a
@@ -62,5 +67,5 @@ pub mod vptree;
 pub use cascade::{BatchPaaCache, BoundCascade, CascadeConfig};
 pub use engine::{Invariance, Neighbor, RotationQuery};
 pub use error::SearchError;
-pub use parallel::{default_threads, nearest_batch, ParallelReport};
+pub use parallel::{default_threads, ParallelReport};
 pub use snapshot::{IndexSnapshot, QueryKind, QuerySpec};

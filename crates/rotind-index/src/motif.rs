@@ -10,10 +10,12 @@
 //! the overwhelming majority of those comparisons abandon after a few
 //! steps.
 
+use crate::cascade::{BoundCascade, CandidateCtx};
 use crate::error::SearchError;
-use crate::hmerge::h_merge;
+use crate::hmerge::h_merge_cascade;
 use rotind_distance::measure::Measure;
 use rotind_envelope::WedgeTree;
+use rotind_obs::{NoBudget, NoopObserver};
 use rotind_ts::rotate::{Rotation, RotationMatrix};
 use rotind_ts::StepCounter;
 
@@ -95,7 +97,20 @@ pub fn top_motifs(
             } else {
                 f64::INFINITY
             };
-            if let Some(outcome) = h_merge(&items[b], &tree, &cut, threshold, measure, counter) {
+            // The legacy (single LB_Keogh) cascade: the walk of the
+            // original motif search, step for step.
+            if let Some(outcome) = h_merge_cascade(
+                &items[b],
+                &tree,
+                &BoundCascade::legacy(),
+                &cut,
+                threshold,
+                measure,
+                counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                &mut CandidateCtx::new(),
+            ) {
                 best.push(MotifPair {
                     a,
                     b,

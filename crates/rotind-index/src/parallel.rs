@@ -3,11 +3,14 @@
 //! The paper's experiments scan the database sequentially; on a modern
 //! multicore machine the scan is embarrassingly parallel *except* for
 //! the best-so-far threshold, which every H-Merge comparison wants as
-//! tight as possible. This module splits the database into one
-//! contiguous chunk per worker thread (hand-rolled on
-//! [`std::thread::scope`] — no external thread pool) and shares the
-//! best-so-far through a single atomic word, so an improvement found by
-//! any worker immediately tightens pruning in all of them.
+//! tight as possible. [`RotationQuery::search_parallel`] splits the
+//! database into one contiguous chunk per worker thread (hand-rolled on
+//! [`std::thread::scope`] — no external thread pool). Every worker runs
+//! the sequential scan loop over its chunk with its own k-NN list, and a
+//! k-NN scan shares the minimum of the chunk k-th bests through a single
+//! atomic word, so an improvement found by any worker immediately
+//! tightens pruning in all of them. A range scan's radius is fixed, so
+//! its workers share nothing.
 //!
 //! # Determinism
 //!
@@ -16,31 +19,30 @@
 //! the shared threshold tightens in nondeterministic order. The
 //! argument (DESIGN.md §10):
 //!
-//! 1. The shared radius only ever holds *achieved* exact distances, so
-//!    it is always `>=` the global minimum `d*`.
+//! 1. The shared radius only ever holds chunk k-th bests. A chunk's
+//!    k-th best is the largest of `k` achieved exact distances, so it
+//!    is always `>=` the global k-th best `d*`.
 //! 2. Admission is inclusive (`d <= r`) and dismissal strict, so every
-//!    global minimizer is fully evaluated no matter when other workers
-//!    tighten the radius.
+//!    item of the global answer is fully evaluated no matter when other
+//!    workers tighten the radius.
 //! 3. Leaf distances are exact and threshold-independent, and H-Merge
 //!    breaks exact ties by the canonical rotation key — its outcome is
 //!    a pure function of (candidate, tree, measure) for any threshold
 //!    admitting the true minimum.
-//! 4. Each worker keeps its chunk's best under a strict-improvement
-//!    guard (lowest index wins ties within the chunk), and chunk bests
-//!    are merged in chunk order by `(distance, index)` — reproducing
-//!    the sequential lowest-index tie-break globally.
+//! 4. Each chunk keeps its k best with ties in index order, and chunk
+//!    lists are merged in chunk order by `(distance, index)` —
+//!    reproducing the sequential lowest-index tie-break globally.
 //!
 //! Per-worker [`StepCounter`]s and forked observers
 //! ([`ForkJoinObserver`]) are joined in chunk order after the scope
 //! ends, so the merged telemetry is deterministic and equals the sum of
 //! the per-thread parts.
 
-use crate::engine::{Neighbor, RotationQuery, ScanState};
+use crate::engine::{finish, Hits, Neighbor, QueryKind, RotationQuery, ScanState};
 use crate::error::SearchError;
 use crate::radius::SharedRadius;
 use rotind_obs::{
-    BudgetHook, BudgetOutcome, Exhausted, ForkJoinObserver, NoBudget, NoopObserver, QueryBudget,
-    SharedBudget,
+    BudgetHook, BudgetOutcome, ForkJoinObserver, NoBudget, QueryBudget, SharedBudget,
 };
 use rotind_ts::StepCounter;
 use std::ops::Range;
@@ -89,371 +91,93 @@ fn chunk_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Resolve a caller-supplied thread count: `0` means "auto".
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        default_threads()
-    } else {
-        threads
-    }
-}
-
-/// What one worker brings back from its chunk.
-struct WorkerOutput<O> {
-    best: Option<Neighbor>,
-    hits: Vec<Neighbor>,
-    steps: StepCounter,
-    observer: O,
-}
-
-/// Merge chunk bests in chunk order by (distance, index): equal
-/// distances keep the earlier chunk, reproducing the sequential
-/// lowest-index tie-break.
-fn merge_chunk_bests<O>(outputs: &[WorkerOutput<O>]) -> Option<Neighbor> {
-    let mut best: Option<Neighbor> = None;
-    for output in outputs {
-        if let Some(candidate) = output.best {
-            let improved = match best {
-                None => true,
-                Some(b) => candidate.distance < b.distance,
-            };
-            if improved {
-                best = Some(candidate);
-            }
-        }
-    }
-    best
-}
-
 impl RotationQuery {
-    /// Exact 1-nearest-neighbour search over `threads` worker threads
-    /// (`0` = auto, see [`default_threads`]). Returns exactly what
-    /// [`nearest`](RotationQuery::nearest) returns — same index, same
-    /// distance bits, same rotation — for every thread count.
-    pub fn nearest_parallel(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-    ) -> Result<Neighbor, SearchError> {
-        let mut counter = StepCounter::new();
-        self.nearest_parallel_with_steps(database, threads, &mut counter)
-    }
-
-    /// [`nearest_parallel`](RotationQuery::nearest_parallel) with step
-    /// accounting: the summed per-thread `num_steps` is merged into
-    /// `counter`.
-    pub fn nearest_parallel_with_steps(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-        counter: &mut StepCounter,
-    ) -> Result<Neighbor, SearchError> {
-        let (hit, _) =
-            self.nearest_parallel_observed(database, threads, counter, &mut NoopObserver)?;
-        Ok(hit)
-    }
-
-    /// Parallel 1-NN with step accounting and observer callbacks.
+    /// [`search`](RotationQuery::search) over `threads` worker threads
+    /// (`0` = auto, see [`default_threads`]). The answers are exactly
+    /// the sequential ones — same indices, same distance bits, same
+    /// rotations, same order — for every kind and thread count.
     ///
-    /// The observer is [forked](ForkJoinObserver::fork) once per worker
-    /// and the children are [joined](ForkJoinObserver::join) back in
-    /// chunk order, so aggregate telemetry is deterministic. The
-    /// returned [`ParallelReport`] carries the per-thread step counts;
-    /// their sum equals what was merged into `counter`.
-    pub fn nearest_parallel_observed<O: ForkJoinObserver>(
+    /// - The summed per-thread `num_steps` is merged into `counter`;
+    ///   the returned [`ParallelReport`] carries the per-thread parts.
+    /// - The observer is [forked](ForkJoinObserver::fork) once per
+    ///   worker and the children are [joined](ForkJoinObserver::join)
+    ///   back in chunk order, so aggregate telemetry is deterministic.
+    /// - A `budget` becomes one pool ([`SharedBudget`]) that every
+    ///   worker charges its local step delta into at each dismissal
+    ///   boundary, so a trip by any worker stops all of them at their
+    ///   next check. On exhaustion the partial hits cover whatever
+    ///   prefix of each chunk was scanned. `None` scans unbudgeted at no
+    ///   cost.
+    pub fn search_parallel<O: ForkJoinObserver>(
         &self,
         database: &[Vec<f64>],
+        kind: QueryKind,
         threads: usize,
         counter: &mut StepCounter,
         observer: &mut O,
-    ) -> Result<(Neighbor, ParallelReport), SearchError> {
-        if database.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        self.check_all(database)?;
-        let shared = SharedRadius::new(f64::INFINITY);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || NoBudget,
-            |scan, index, item, steps, obs, budget| {
-                let bsf = shared.get();
-                let outcome =
-                    scan.compare_budgeted(item, bsf, self.measure(), steps, obs, budget)?;
-                shared.update_min(outcome.distance);
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let best = merge_chunk_bests(&outputs);
-        self.join_outputs(outputs, counter, observer);
-        // Non-empty database (checked above) + infinite initial radius:
-        // some worker's first comparison always admits, so a best exists.
-        // rotind-lint: allow(no-panic)
-        let hit = best.expect("non-empty database yields a nearest neighbour");
-        Ok((hit, report))
-    }
-
-    /// Parallel 1-NN under a [`QueryBudget`]: one budget pool
-    /// ([`SharedBudget`]) is shared by all workers, each charging its
-    /// local step delta at every dismissal boundary — so a trip by any
-    /// worker stops all of them at their next check. When the budget
-    /// never trips the answer is [`BudgetOutcome::Complete`] and
-    /// bit-identical to the sequential scan; on exhaustion the partial
-    /// best covers whatever prefix of each chunk was scanned (`None`
-    /// only when no worker admitted a leaf before the trip).
-    pub fn nearest_parallel_budgeted<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &QueryBudget,
-    ) -> Result<(BudgetOutcome<Option<Neighbor>>, ParallelReport), SearchError> {
-        if database.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        self.check_all(database)?;
-        let pool = SharedBudget::from_budget(budget);
-        let shared = SharedRadius::new(f64::INFINITY);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || pool.hook(),
-            |scan, index, item, steps, obs, hook| {
-                let bsf = shared.get();
-                let outcome = scan.compare_budgeted(item, bsf, self.measure(), steps, obs, hook)?;
-                shared.update_min(outcome.distance);
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let best = merge_chunk_bests(&outputs);
-        self.join_outputs(outputs, counter, observer);
-        let outcome = match pool.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: best,
-                reason,
-                steps_spent: pool.spent(),
-            }),
-            None => BudgetOutcome::Complete(best),
-        };
-        Ok((outcome, report))
-    }
-
-    /// Exact range query over `threads` worker threads (`0` = auto).
-    /// Returns exactly what [`range`](RotationQuery::range) returns, in
-    /// the same (database) order: the threshold is fixed, so workers
-    /// share nothing and chunk hit lists concatenate in chunk order.
-    pub fn range_parallel(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-    ) -> Result<Vec<Neighbor>, SearchError> {
-        let mut counter = StepCounter::new();
-        let (hits, _) = self.range_parallel_observed(
-            database,
-            radius,
-            threads,
-            &mut counter,
-            &mut NoopObserver,
-        )?;
-        Ok(hits)
-    }
-
-    /// Parallel range query with step accounting and observer
-    /// callbacks; fork/join semantics as in
-    /// [`nearest_parallel_observed`](RotationQuery::nearest_parallel_observed).
-    pub fn range_parallel_observed<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) -> Result<(Vec<Neighbor>, ParallelReport), SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
-        }
-        self.check_all(database)?;
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || NoBudget,
-            |scan, index, item, steps, obs, budget| {
-                let outcome =
-                    scan.compare_budgeted(item, radius, self.measure(), steps, obs, budget)?;
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let mut hits = Vec::new();
-        for output in &outputs {
-            hits.extend_from_slice(&output.hits);
-        }
-        self.join_outputs(outputs, counter, observer);
-        Ok((hits, report))
-    }
-
-    /// Parallel range query under a [`QueryBudget`]; budget semantics as
-    /// in [`nearest_parallel_budgeted`](RotationQuery::nearest_parallel_budgeted).
-    /// On exhaustion the partial hit list covers the scanned prefix of
-    /// each chunk, concatenated in chunk order.
-    #[allow(clippy::type_complexity)] // the outcome + report pair mirrors the observed API
-    pub fn range_parallel_budgeted<O: ForkJoinObserver>(
-        &self,
-        database: &[Vec<f64>],
-        radius: f64,
-        threads: usize,
-        counter: &mut StepCounter,
-        observer: &mut O,
-        budget: &QueryBudget,
+        budget: Option<&QueryBudget>,
     ) -> Result<(BudgetOutcome<Vec<Neighbor>>, ParallelReport), SearchError> {
-        if !radius.is_finite() || radius < 0.0 {
-            return Err(SearchError::invalid_param(
-                "radius",
-                "must be finite and >= 0",
-            ));
-        }
-        self.check_all(database)?;
-        let pool = SharedBudget::from_budget(budget);
-        let (outputs, report) = self.scan_chunks(
-            database,
-            threads,
-            observer,
-            || pool.hook(),
-            |scan, index, item, steps, obs, hook| {
-                let outcome =
-                    scan.compare_budgeted(item, radius, self.measure(), steps, obs, hook)?;
-                Some(Neighbor {
-                    index,
-                    distance: outcome.distance,
-                    rotation: outcome.rotation,
-                })
-            },
-        );
-        let mut hits = Vec::new();
-        for output in &outputs {
-            hits.extend_from_slice(&output.hits);
-        }
-        self.join_outputs(outputs, counter, observer);
-        let outcome = match pool.trip_reason() {
-            Some(reason) => BudgetOutcome::Exhausted(Exhausted {
-                partial: hits,
-                reason,
-                steps_spent: pool.spent(),
-            }),
-            None => BudgetOutcome::Complete(hits),
-        };
-        Ok((outcome, report))
+        let hits = self.validate(database, kind)?;
+        Ok(match budget {
+            None => {
+                let (hits, report) =
+                    self.scan_chunks(database, hits, threads, counter, observer, || NoBudget);
+                (BudgetOutcome::Complete(hits), report)
+            }
+            Some(budget) => {
+                let pool = SharedBudget::from_budget(budget);
+                let (hits, report) =
+                    self.scan_chunks(database, hits, threads, counter, observer, || pool.hook());
+                (finish(hits, pool.trip_reason(), pool.spent()), report)
+            }
+        })
     }
 
-    /// Split `database` into balanced contiguous chunks and run
-    /// `compare` over each chunk on its own thread, with a fresh
-    /// [`ScanState`], step counter, forked observer and budget hook
-    /// (from `make_budget` — [`NoBudget`] for un-budgeted scans, a
-    /// [`SharedBudget`] pool hook for budgeted ones) per worker.
-    /// `compare` returns `Some(hit)` when the item is admitted; workers
-    /// record every hit (for range queries) and track the chunk best
-    /// under a strict-improvement guard (for nearest queries). Outputs
-    /// come back in chunk order.
-    // lint: panic-exempt(chunk_ranges yields only indices below database.len())
-    fn scan_chunks<O, B, MB, F>(
+    /// Run the scan loop over balanced contiguous chunks, one thread
+    /// each, with a fresh [`ScanState`], step counter, forked observer,
+    /// budget hook and copy of `empty` per worker. Telemetry is joined
+    /// into `counter` and `observer` in chunk order.
+    // lint: panic-exempt(the join expect re-raises a worker's own panic on the caller's thread and adds none)
+    fn scan_chunks<O, B, MB>(
         &self,
         database: &[Vec<f64>],
+        empty: Hits,
         threads: usize,
-        observer: &O,
+        counter: &mut StepCounter,
+        observer: &mut O,
         make_budget: MB,
-        compare: F,
-    ) -> (Vec<WorkerOutput<O>>, ParallelReport)
+    ) -> (Vec<Neighbor>, ParallelReport)
     where
         O: ForkJoinObserver,
-        B: BudgetHook + Send,
+        B: BudgetHook,
         MB: Fn() -> B + Sync,
-        F: Fn(
-                &mut ScanState<'_>,
-                usize,
-                &[f64],
-                &mut StepCounter,
-                &mut O,
-                &mut B,
-            ) -> Option<Neighbor>
-            + Sync,
     {
         let chunks = chunk_ranges(database.len(), resolve_threads(threads));
-        let compare = &compare;
+        let shared = empty.tightens().then(|| SharedRadius::new(f64::INFINITY));
+        let shared = shared.as_ref();
         let make_budget = &make_budget;
-        let outputs: Vec<WorkerOutput<O>> = thread::scope(|scope| {
+        let outputs: Vec<(Hits, StepCounter, O)> = thread::scope(|scope| {
             let handles: Vec<_> = chunks
                 .iter()
                 .map(|range| {
-                    let range = range.clone();
+                    let items = database.get(range.clone()).unwrap_or_default();
+                    let first = range.start;
+                    let mut hits = empty.clone();
                     let mut child = observer.fork();
                     scope.spawn(move || {
-                        let mut scan = ScanState::new(
-                            self.tree(),
-                            self.cascade(),
-                            self.k_policy,
-                            self.probe_intervals,
-                        );
                         let mut steps = StepCounter::new();
                         let mut budget = make_budget();
-                        let mut best: Option<Neighbor> = None;
-                        let mut hits = Vec::new();
-                        for index in range {
-                            // Dismissal boundary: a tripped pool stops
-                            // every worker at its next item. NoBudget
-                            // folds this branch away entirely.
-                            if !budget.check(steps.steps()) {
-                                break;
-                            }
-                            if let Some(hit) = compare(
-                                &mut scan,
-                                index,
-                                // `chunk_ranges` only yields indices below
-                                // `database.len()`, so this cannot panic.
-                                // rotind-lint: allow(no-index)
-                                &database[index],
-                                &mut steps,
-                                &mut child,
-                                &mut budget,
-                            ) {
-                                hits.push(hit);
-                                // Strict improvement: ties keep the
-                                // earlier (lower-index) incumbent, as
-                                // the sequential scan does.
-                                let improved = match best {
-                                    None => true,
-                                    Some(b) => hit.distance < b.distance,
-                                };
-                                if improved {
-                                    best = Some(hit);
-                                    scan.notify_improvement_observed(&mut child);
-                                }
-                            }
-                        }
-                        WorkerOutput {
-                            best,
-                            hits,
-                            steps,
-                            observer: child,
-                        }
+                        ScanState::new(self).run(
+                            items,
+                            first,
+                            &mut hits,
+                            &mut steps,
+                            &mut child,
+                            &mut budget,
+                            None,
+                            shared,
+                        );
+                        (hits, steps, child)
                     })
                 })
                 .collect();
@@ -470,77 +194,32 @@ impl RotationQuery {
         let report = ParallelReport {
             threads: chunks.len(),
             chunk_lens: chunks.iter().map(ExactSizeIterator::len).collect(),
-            per_thread_steps: outputs.iter().map(|o| o.steps.steps()).collect(),
+            per_thread_steps: outputs.iter().map(|(_, steps, _)| steps.steps()).collect(),
         };
-        (outputs, report)
-    }
-
-    /// Fold per-worker outputs back into the caller's counter and
-    /// observer, in chunk order.
-    fn join_outputs<O: ForkJoinObserver>(
-        &self,
-        outputs: Vec<WorkerOutput<O>>,
-        counter: &mut StepCounter,
-        observer: &mut O,
-    ) {
-        for output in outputs {
-            counter.merge(output.steps);
-            observer.join(output.observer);
+        let mut parts = Vec::with_capacity(outputs.len());
+        for (hits, steps, child) in outputs {
+            counter.merge(steps);
+            observer.join(child);
+            parts.push(hits);
         }
+        (Hits::merge_chunks(parts), report)
     }
 }
 
-/// Answer many queries against one database, one sequential scan per
-/// query, spread over `threads` worker threads (`0` = auto). Queries
-/// are chunked exactly like database items in the per-query scans, and
-/// results come back in query order; each entry is bit-identical to
-/// `engines[i].nearest(database)`.
-pub fn nearest_batch(
-    engines: &[RotationQuery],
-    database: &[Vec<f64>],
-    threads: usize,
-) -> Result<Vec<Neighbor>, SearchError> {
-    if database.is_empty() {
-        return Err(SearchError::EmptyDatabase);
+/// Resolve a caller-supplied thread count: `0` means "auto".
+fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        default_threads()
+    } else {
+        threads
     }
-    for engine in engines {
-        engine.check_all(database)?;
-    }
-    let chunks = chunk_ranges(engines.len(), resolve_threads(threads));
-    let per_chunk: Vec<Result<Vec<Neighbor>, SearchError>> = thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    range
-                        // `chunk_ranges` only yields indices below
-                        // `engines.len()`, so this cannot panic.
-                        // rotind-lint: allow(no-index)
-                        .map(|i| engines[i].nearest(database))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-            })
-            .collect();
-        // Propagating a worker panic, as in the chunked scan above.
-        handles
-            .into_iter()
-            // rotind-lint: allow(no-panic)
-            .map(|h| h.join().expect("batch query worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(engines.len());
-    for chunk in per_chunk {
-        out.extend(chunk?);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::Invariance;
-    use rotind_obs::QueryTrace;
+    use rotind_obs::{NoBudget, NoopObserver, QueryTrace};
     use rotind_ts::rotate::rotated;
 
     fn signal(n: usize, phase: f64) -> Vec<f64> {
@@ -551,6 +230,31 @@ mod tests {
 
     fn database(m: usize, n: usize) -> Vec<Vec<f64>> {
         (0..m).map(|k| signal(n, 1.0 + k as f64 * 0.37)).collect()
+    }
+
+    /// `search_parallel` with a step counter and an observer,
+    /// unbudgeted.
+    fn parallel<O: ForkJoinObserver>(
+        engine: &RotationQuery,
+        db: &[Vec<f64>],
+        kind: QueryKind,
+        threads: usize,
+        counter: &mut StepCounter,
+        observer: &mut O,
+    ) -> Result<(Vec<Neighbor>, ParallelReport), SearchError> {
+        let (outcome, report) =
+            engine.search_parallel(db, kind, threads, counter, observer, None)?;
+        Ok((outcome.into_inner(), report))
+    }
+
+    fn hits(
+        engine: &RotationQuery,
+        db: &[Vec<f64>],
+        kind: QueryKind,
+        threads: usize,
+    ) -> Result<Vec<Neighbor>, SearchError> {
+        let counter = &mut StepCounter::new();
+        parallel(engine, db, kind, threads, counter, &mut NoopObserver).map(|(h, _)| h)
     }
 
     #[test]
@@ -585,12 +289,16 @@ mod tests {
         db[20] = rotated(&query, 9);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         let sequential = engine.nearest(&db).unwrap();
+        let sequential_knn = engine.k_nearest(&db, 4).unwrap();
         for threads in [1, 2, 3, 4, 8, 64] {
-            let hit = engine.nearest_parallel(&db, threads).unwrap();
-            assert_eq!(hit, sequential, "threads = {threads}");
+            let got = hits(&engine, &db, QueryKind::Nearest, threads).unwrap();
+            assert_eq!(got, vec![sequential], "threads = {threads}");
+            let got = hits(&engine, &db, QueryKind::KNearest(4), threads).unwrap();
+            assert_eq!(got, sequential_knn, "k-NN, threads = {threads}");
         }
         // threads = 0 resolves to an automatic count and must also agree.
-        assert_eq!(engine.nearest_parallel(&db, 0).unwrap(), sequential);
+        let auto = hits(&engine, &db, QueryKind::Nearest, 0).unwrap();
+        assert_eq!(auto, vec![sequential]);
     }
 
     #[test]
@@ -603,8 +311,8 @@ mod tests {
         let sequential = engine.range(&db, radius).unwrap();
         assert!(!sequential.is_empty());
         for threads in [1, 2, 4, 7] {
-            let hits = engine.range_parallel(&db, radius, threads).unwrap();
-            assert_eq!(hits, sequential, "threads = {threads}");
+            let got = hits(&engine, &db, QueryKind::Range(radius), threads).unwrap();
+            assert_eq!(got, sequential, "threads = {threads}");
         }
     }
 
@@ -620,10 +328,10 @@ mod tests {
         db[4] = boundary;
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
         for threads in [1, 2, 3, 9] {
-            let hits = engine.range_parallel(&db, 3.0, threads).unwrap();
+            let got = hits(&engine, &db, QueryKind::Range(3.0), threads).unwrap();
             assert!(
-                hits.iter().any(|h| h.index == 4 && h.distance == 3.0),
-                "threads = {threads}: {hits:?}"
+                got.iter().any(|h| h.index == 4 && h.distance == 3.0),
+                "threads = {threads}: {got:?}"
             );
         }
     }
@@ -631,8 +339,9 @@ mod tests {
     #[test]
     fn tie_break_prefers_lowest_index_across_chunks() {
         // Two bit-identical planted items in different chunks: every
-        // thread count must return the lower index, like the
-        // sequential scan.
+        // thread count must return the lower index first, like the
+        // sequential scan — for nearest, and for k-NN, whose list holds
+        // the exact tie that the chunk merge must order by index.
         let n = 24;
         let query = signal(n, 0.5);
         let mut db = database(16, n);
@@ -643,8 +352,20 @@ mod tests {
         let sequential = engine.nearest(&db).unwrap();
         assert_eq!(sequential.index, 3);
         for threads in [1, 2, 4, 16] {
-            let hit = engine.nearest_parallel(&db, threads).unwrap();
-            assert_eq!(hit, sequential, "threads = {threads}");
+            let got = hits(&engine, &db, QueryKind::Nearest, threads).unwrap();
+            assert_eq!(got, vec![sequential], "threads = {threads}");
+        }
+        for k in [2, 5, 16, 40] {
+            let sequential = engine.k_nearest(&db, k).unwrap();
+            assert_eq!(sequential.len(), k.min(db.len()));
+            assert_eq!((sequential[0].index, sequential[1].index), (3, 12));
+            for threads in [1, 2, 4, 7] {
+                let got = hits(&engine, &db, QueryKind::KNearest(k), threads).unwrap();
+                assert_eq!(got, sequential, "k = {k}, threads = {threads}");
+                let bits =
+                    |h: &[Neighbor]| h.iter().map(|n| n.distance.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&sequential));
+            }
         }
     }
 
@@ -654,13 +375,26 @@ mod tests {
         let query = signal(n, 0.2);
         let db = database(23, n);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-        for threads in [1, 3, 5] {
+        for (threads, kind) in [1, 3, 5]
+            .into_iter()
+            .flat_map(|t| [(t, QueryKind::Nearest), (t, QueryKind::KNearest(3))])
+        {
             let mut counter = StepCounter::new();
             let mut trace = QueryTrace::new(n);
-            let (hit, report) = engine
-                .nearest_parallel_observed(&db, threads, &mut counter, &mut trace)
-                .unwrap();
-            assert_eq!(hit, engine.nearest(&db).unwrap());
+            let (got, report) =
+                parallel(&engine, &db, kind, threads, &mut counter, &mut trace).unwrap();
+            let sequential = engine
+                .search(
+                    &db,
+                    kind,
+                    &mut StepCounter::new(),
+                    &mut NoopObserver,
+                    &mut NoBudget,
+                    None,
+                )
+                .unwrap()
+                .into_inner();
+            assert_eq!(got, sequential, "{kind:?}");
             assert_eq!(report.threads, threads);
             assert_eq!(report.per_thread_steps.len(), threads);
             assert_eq!(report.chunk_lens.iter().sum::<usize>(), db.len());
@@ -677,10 +411,17 @@ mod tests {
         let query = signal(n, 0.1);
         let db = database(3, n);
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
-        let (hit, report) = engine
-            .nearest_parallel_observed(&db, 100, &mut StepCounter::new(), &mut NoopObserver)
-            .unwrap();
-        assert_eq!(hit, engine.nearest(&db).unwrap());
+        let counter = &mut StepCounter::new();
+        let (got, report) = parallel(
+            &engine,
+            &db,
+            QueryKind::Nearest,
+            100,
+            counter,
+            &mut NoopObserver,
+        )
+        .unwrap();
+        assert_eq!(got, vec![engine.nearest(&db).unwrap()]);
         assert_eq!(report.threads, 3, "clamped to database size");
     }
 
@@ -688,39 +429,26 @@ mod tests {
     fn parallel_error_paths_match_sequential() {
         let engine = RotationQuery::new(&signal(16, 0.0), Invariance::Rotation).unwrap();
         assert_eq!(
-            engine.nearest_parallel(&[], 4).unwrap_err(),
+            hits(&engine, &[], QueryKind::Nearest, 4).unwrap_err(),
             SearchError::EmptyDatabase
         );
         let bad = vec![vec![0.0; 8]];
         assert!(matches!(
-            engine.nearest_parallel(&bad, 4).unwrap_err(),
+            hits(&engine, &bad, QueryKind::Nearest, 4).unwrap_err(),
             SearchError::LengthMismatch { .. }
         ));
-        assert!(engine.range_parallel(&database(3, 16), -1.0, 4).is_err());
-        assert!(engine
-            .range_parallel(&database(3, 16), f64::NAN, 4)
-            .is_err());
-    }
-
-    #[test]
-    fn batch_answers_every_query_in_order() {
-        let n = 20;
-        let db = database(15, n);
-        let engines: Vec<RotationQuery> = (0..7)
-            .map(|i| RotationQuery::new(&signal(n, 0.1 * i as f64), Invariance::Rotation).unwrap())
-            .collect();
-        let expected: Vec<Neighbor> = engines.iter().map(|e| e.nearest(&db).unwrap()).collect();
-        for threads in [1, 2, 4, 32] {
-            let got = nearest_batch(&engines, &db, threads).unwrap();
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-        // No queries: trivially empty.
-        assert_eq!(nearest_batch(&[], &db, 4).unwrap(), vec![]);
-        // Empty database errors like the sequential path.
+        let mut nan = database(3, 16);
+        nan[2][9] = f64::NAN;
         assert_eq!(
-            nearest_batch(&engines, &[], 4).unwrap_err(),
-            SearchError::EmptyDatabase
+            hits(&engine, &nan, QueryKind::KNearest(2), 4).unwrap_err(),
+            SearchError::NonFinite {
+                index: 2,
+                position: 9
+            }
         );
+        assert!(hits(&engine, &database(3, 16), QueryKind::KNearest(0), 4).is_err());
+        assert!(hits(&engine, &database(3, 16), QueryKind::Range(-1.0), 4).is_err());
+        assert!(hits(&engine, &database(3, 16), QueryKind::Range(f64::NAN), 4).is_err());
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! multiplexes many queries over it. [`IndexSnapshot`] is that handle:
 //! the database sits behind an [`Arc`], so worker threads share it
 //! without copies and a snapshot swap is a pointer swap; validation
-//! (non-empty, uniform series length) happens once at construction
-//! instead of once per query; and [`IndexSnapshot::execute`] is the
-//! single entry point the serve crate drives, dispatching a
-//! [`QuerySpec`] to the engine's budgeted scans — optionally through a
-//! [`BatchPaaCache`] so the tier-2 candidate projections are amortized
-//! across the queries of a worker instead of rebuilt per query.
+//! (non-empty, uniform series length, finite samples) happens at
+//! construction, and so does the one read of the cascade configuration
+//! (`ROTIND_CASCADE`), so no served query touches the environment.
+//! [`IndexSnapshot::execute`] is the single entry point the serve crate
+//! drives: it builds the query's engine and runs
+//! [`RotationQuery::search`] — optionally through a [`BatchPaaCache`] so
+//! the tier-2 candidate projections are amortized across the queries of
+//! a worker instead of rebuilt per query.
 //!
 //! Results are bit-identical to calling [`RotationQuery`] directly:
 //! `execute` adds no logic, only ownership and dispatch (the serve
@@ -17,23 +19,14 @@
 //! equality).
 
 use crate::cascade::{BatchPaaCache, CascadeConfig};
-use crate::engine::{Invariance, Neighbor, RotationQuery};
+use crate::engine::{check_series, Invariance, Neighbor, RotationQuery};
 use crate::error::SearchError;
 use rotind_distance::measure::Measure;
 use rotind_obs::{BudgetHook, BudgetOutcome, SearchObserver};
 use rotind_ts::StepCounter;
 use std::sync::Arc;
 
-/// What a query asks of the snapshot.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueryKind {
-    /// The single nearest neighbour.
-    Nearest,
-    /// The `k` nearest neighbours (ties broken by database order).
-    KNearest(usize),
-    /// Every item within the radius (inclusive).
-    Range(f64),
-}
+pub use crate::engine::QueryKind;
 
 /// One self-contained query against a snapshot: the series, the
 /// admitted rotations, the measure and the kind of answer wanted.
@@ -57,28 +50,26 @@ pub struct QuerySpec {
 pub struct IndexSnapshot {
     database: Arc<Vec<Vec<f64>>>,
     series_len: usize,
+    cascade: CascadeConfig,
 }
 
 impl IndexSnapshot {
-    /// Validate and take ownership of a database: it must be non-empty
-    /// and every series must have the same length.
+    /// Validate and take ownership of a database: it must be non-empty,
+    /// every series must have the same length, and every sample must be
+    /// finite. The cascade configuration every query will run is read
+    /// from the environment here, once.
     pub fn new(database: Vec<Vec<f64>>) -> Result<Self, SearchError> {
         let Some(first) = database.first() else {
             return Err(SearchError::EmptyDatabase);
         };
         let series_len = first.len();
         for (index, item) in database.iter().enumerate() {
-            if item.len() != series_len {
-                return Err(SearchError::LengthMismatch {
-                    index,
-                    expected: series_len,
-                    actual: item.len(),
-                });
-            }
+            check_series(index, item, series_len)?;
         }
         Ok(IndexSnapshot {
             database: Arc::new(database),
             series_len,
+            cascade: CascadeConfig::from_env(),
         })
     }
 
@@ -104,23 +95,18 @@ impl IndexSnapshot {
     }
 
     /// A fresh candidate-projection cache sized for this snapshot, at
-    /// the dimensionality the engine's default cascade configuration
-    /// (`ROTIND_CASCADE`) will project at. One per worker thread; see
-    /// [`BatchPaaCache`].
+    /// the dimensionality of the snapshot's cascade configuration. One
+    /// per worker thread; see [`BatchPaaCache`].
     pub fn paa_cache(&self) -> BatchPaaCache {
-        BatchPaaCache::new(self.database.len(), CascadeConfig::from_env().dims)
+        BatchPaaCache::new(self.database.len(), self.cascade.dims)
     }
 
     /// Run one query against the snapshot under a budget, optionally
-    /// through a worker's [`BatchPaaCache`].
-    ///
-    /// This is pure dispatch over [`RotationQuery`]'s budgeted entry
-    /// points: [`QueryKind::Nearest`] is k-NN at `k = 1` (so the
-    /// answer is a zero-or-one element vector — empty only when an
-    /// exhausted budget tripped before any item was admitted), and
-    /// results are bit-identical to calling the engine directly.
-    /// Engine construction costs the paper's `O(n²)` startup per query
-    /// and is not counted in `counter`, matching direct engine use.
+    /// through a worker's [`BatchPaaCache`]: build the query's engine
+    /// under the snapshot's cascade configuration and run
+    /// [`RotationQuery::search`]. Engine construction costs the paper's
+    /// `O(n²)` startup per query and is not counted in `counter`,
+    /// matching direct engine use.
     pub fn execute<O: SearchObserver, B: BudgetHook>(
         &self,
         spec: &QuerySpec,
@@ -129,25 +115,10 @@ impl IndexSnapshot {
         budget: &mut B,
         cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
-        let engine = RotationQuery::with_measure(&spec.series, spec.invariance, spec.measure)
-            .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
-        let db = self.database.as_slice();
-        let k = match spec.kind {
-            QueryKind::Nearest => 1,
-            QueryKind::KNearest(k) => k,
-            QueryKind::Range(radius) => {
-                return match cache {
-                    Some(c) => {
-                        engine.range_budgeted_cached(db, radius, counter, observer, budget, c)
-                    }
-                    None => engine.range_budgeted(db, radius, counter, observer, budget),
-                };
-            }
-        };
-        match cache {
-            Some(c) => engine.k_nearest_budgeted_cached(db, k, counter, observer, budget, c),
-            None => engine.k_nearest_budgeted(db, k, counter, observer, budget),
-        }
+        let engine =
+            RotationQuery::with_config(&spec.series, spec.invariance, spec.measure, self.cascade)
+                .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
+        engine.search(&self.database, spec.kind, counter, observer, budget, cache)
     }
 }
 
@@ -185,6 +156,17 @@ mod tests {
         let snap = IndexSnapshot::new(database(5, 16)).unwrap();
         assert_eq!((snap.len(), snap.series_len()), (5, 16));
         assert!(!snap.is_empty());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut db = database(6, 16);
+            db[4][11] = bad;
+            assert_eq!(
+                IndexSnapshot::new(db).unwrap_err(),
+                SearchError::NonFinite {
+                    index: 4,
+                    position: 11
+                }
+            );
+        }
     }
 
     #[test]

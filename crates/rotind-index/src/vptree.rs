@@ -182,7 +182,12 @@ impl VpTree {
         best: &mut Option<(usize, f64)>,
         stats: &mut VpSearchStats,
     ) {
-        let g = bound(&self.points[node.vp]);
+        // `node.vp` indexes `points` by construction; a tree that broke
+        // that would just end the descent here.
+        let Some(point) = self.points.get(node.vp) else {
+            return;
+        };
+        let g = bound(point);
         stats.bound_evals += 1;
         if g < *bsf {
             stats.refined += 1;
@@ -205,19 +210,16 @@ impl VpTree {
             }
             m.max(0.0)
         };
-        let sides: [(&Option<Box<Node>>, f64); 2] = [
-            (&node.inside, min_possible(node.inside_range)),
-            (&node.outside, min_possible(node.outside_range)),
-        ];
-        let order = if sides[0].1 <= sides[1].1 {
-            [0, 1]
+        let inside = (&node.inside, min_possible(node.inside_range));
+        let outside = (&node.outside, min_possible(node.outside_range));
+        let order = if inside.1 <= outside.1 {
+            [inside, outside]
         } else {
-            [1, 0]
+            [outside, inside]
         };
-        for &i in &order {
-            let (child, min_poss) = &sides[i];
+        for (child, min_poss) in order {
             if let Some(child) = child {
-                if *min_poss < *bsf {
+                if min_poss < *bsf {
                     self.search_node(child, kind, bound, refine, bsf, best, stats);
                 }
             }

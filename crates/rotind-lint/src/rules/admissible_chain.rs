@@ -20,9 +20,12 @@ use crate::source::{FileKind, SourceFile};
 /// Rule id.
 pub const ID: &str = "admissible-chain";
 
+/// Name prefix of the cascade entry points: the reachability roots.
+pub const ROOT_PREFIX: &str = "h_merge_cascade";
+
 /// Cascade entry points: reachability roots.
 fn is_root(name: &str) -> bool {
-    name.starts_with("h_merge_cascade")
+    name.starts_with(ROOT_PREFIX)
 }
 
 /// Check the analyzed workspace.

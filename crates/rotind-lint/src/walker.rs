@@ -8,7 +8,11 @@
 //!   are API shims, not rotind code, and are excluded from the workspace
 //!   in `Cargo.toml` for the same reason;
 //! * any `fixtures/` directory — the linter's own test fixtures are
-//!   *deliberately* rule-violating snippets.
+//!   *deliberately* rule-violating snippets;
+//! * `perfbench/` — the benchmark harness is a cargo workspace of its
+//!   own (like `vendor/`, not a member of this one) and is never linked
+//!   into the serve binary; scanning it would also let name-based call
+//!   resolution bridge the serve certificate into harness code.
 
 use crate::source::{kind_for_path, relative_path, FileKind, SourceFile};
 use std::fs;
@@ -21,7 +25,7 @@ use std::sync::mpsc;
 /// *single* place workspace exclusions live — `main.rs`, the tests and
 /// the baseline all see the same universe because they all come through
 /// [`rust_files`] / [`is_skipped_dir`]; nothing re-filters ad hoc.
-pub const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git"];
+pub const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", "perfbench", ".git"];
 
 /// Should the workspace walk skip a directory with this name?
 pub fn is_skipped_dir(name: &str) -> bool {

@@ -488,7 +488,9 @@ fn run_job(shared: &Shared, cache: &mut BatchPaaCache, mut job: Job) {
 
 fn search_error_code(e: &SearchError) -> u16 {
     match e {
-        SearchError::EmptyDatabase | SearchError::LengthMismatch { .. } => error_code::BAD_QUERY,
+        SearchError::EmptyDatabase
+        | SearchError::LengthMismatch { .. }
+        | SearchError::NonFinite { .. } => error_code::BAD_QUERY,
         SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
     }
 }

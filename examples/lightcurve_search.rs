@@ -13,9 +13,27 @@
 
 use rotind::distance::Measure;
 use rotind::index::disk::{IndexedDatabase, ReducedRepr};
-use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::engine::{Invariance, Neighbor, QueryKind, RotationQuery};
 use rotind::lightcurve::dataset::light_curves;
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::ts::StepCounter;
+
+/// The nearest star, with the scan's steps charged to `steps`.
+fn nearest(engine: &RotationQuery, database: &[Vec<f64>], steps: &mut StepCounter) -> Neighbor {
+    let kind = QueryKind::Nearest;
+    let hits = engine
+        .search(
+            database,
+            kind,
+            steps,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .expect("non-empty")
+        .into_inner();
+    hits[0]
+}
 
 fn main() {
     let n = 512;
@@ -32,9 +50,7 @@ fn main() {
     // Main-memory wedge search.
     let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid query");
     let mut steps = StepCounter::new();
-    let hit = engine
-        .nearest_with_steps(&database, &mut steps)
-        .expect("non-empty");
+    let hit = nearest(&engine, &database, &mut steps);
     let brute = rotind::eval::speedup::brute_force_steps(database.len(), n, n, Measure::Euclidean);
     println!(
         "wedge search : star {} ({}) at distance {:.4}",
@@ -84,9 +100,7 @@ fn main() {
     )
     .expect("valid query");
     let mut dtw_steps = StepCounter::new();
-    let dtw_hit = dtw_engine
-        .nearest_with_steps(&database, &mut dtw_steps)
-        .expect("non-empty");
+    let dtw_hit = nearest(&dtw_engine, &database, &mut dtw_steps);
     let dtw_brute = rotind::eval::speedup::brute_force_steps(
         database.len(),
         n,

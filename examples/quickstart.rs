@@ -9,7 +9,8 @@
 //! query, and retrieves it — exactly — with the wedge-accelerated
 //! engine, comparing the step cost against the brute-force scan.
 
-use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::engine::{Invariance, QueryKind, RotationQuery};
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::shape::dataset::projectile_points;
 use rotind::ts::rotate::rotated;
 use rotind::ts::StepCounter;
@@ -33,12 +34,24 @@ fn main() {
     println!("query = item {target} rotated by 100 samples + noise\n");
 
     // The engine expands the query into all n rotations, clusters them
-    // into hierarchical wedges (O(n²) once), then scans.
+    // into hierarchical wedges (O(n²) once), then scans. `search` is the
+    // full-control entry: it also counts steps, and takes an observer, a
+    // budget and a projection cache.
     let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid query");
     let mut steps = StepCounter::new();
-    let hit = engine
-        .nearest_with_steps(&database, &mut steps)
-        .expect("non-empty database");
+    let kind = QueryKind::Nearest;
+    let hits = engine
+        .search(
+            &database,
+            kind,
+            &mut steps,
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .expect("non-empty database")
+        .into_inner();
+    let hit = hits[0];
 
     println!("best match : item {}", hit.index);
     println!("distance   : {:.4}", hit.distance);

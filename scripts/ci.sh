@@ -79,6 +79,9 @@ echo "baseline v1..v4 migrations: PASS"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> benchmark harness build (perfbench/ is frozen; it must keep compiling against the API)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 

@@ -50,11 +50,11 @@ pub mod prelude {
     pub use rotind_distance::measure::Measure;
     pub use rotind_envelope::wedge::Wedge;
     pub use rotind_index::engine::{Invariance, Neighbor, RotationQuery};
-    pub use rotind_index::parallel::{default_threads, nearest_batch, ParallelReport};
+    pub use rotind_index::parallel::{default_threads, ParallelReport};
     pub use rotind_index::snapshot::{IndexSnapshot, QueryKind, QuerySpec};
     pub use rotind_obs::{
-        BudgetOutcome, BudgetReason, Exhausted, ForkJoinObserver, ManualClock, NoopObserver,
-        Profiler, QueryBudget, QueryTrace, SearchObserver,
+        BudgetOutcome, BudgetReason, Exhausted, ForkJoinObserver, ManualClock, NoBudget,
+        NoopObserver, Profiler, QueryBudget, QueryTrace, SearchObserver,
     };
     pub use rotind_ts::{StepCounter, TimeSeries};
 }

@@ -14,10 +14,10 @@ use rotind::envelope::lb_keogh::{
     lb_improved, lb_keogh, lb_keogh_reordered_early_abandon_at, lb_kim,
 };
 use rotind::envelope::Wedge;
-use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::engine::{Invariance, Neighbor, QueryKind, RotationQuery};
 use rotind::index::reduced::{Paa, PaaEnvelope};
 use rotind::index::CascadeConfig;
-use rotind::obs::{CascadeTier, QueryTrace};
+use rotind::obs::{CascadeTier, NoBudget, NoopObserver, QueryTrace, SearchObserver};
 use rotind::ts::rotate::{rotated, RotationMatrix};
 use rotind::ts::StepCounter;
 
@@ -170,11 +170,11 @@ proptest! {
             2 => Invariance::RotationLimited { max_shift },
             _ => Invariance::RotationLimitedMirror { max_shift },
         };
-        let legacy = RotationQuery::with_measure(&query, invariance, measure)
+        let legacy_engine = RotationQuery::with_measure(&query, invariance, measure)
             .unwrap()
-            .with_cascade(CascadeConfig::legacy())
-            .nearest(&db)
-            .unwrap();
+            .with_cascade(CascadeConfig::legacy());
+        let legacy = legacy_engine.nearest(&db).unwrap();
+        let legacy_knn = legacy_engine.k_nearest(&db, 3).unwrap();
 
         // `max_shift < 8 < n`, so the limited windows never saturate.
         let matrix = match invariance {
@@ -197,15 +197,54 @@ proptest! {
                 .with_cascade(config);
             let hit = engine.nearest(&db).unwrap();
             prop_assert_eq!(&hit, &legacy, "config {} diverged sequentially", name);
+            prop_assert_eq!(
+                &engine.k_nearest(&db, 3).unwrap(), &legacy_knn,
+                "config {} k-NN diverged sequentially", name
+            );
             for threads in [1usize, 4] {
-                let hit = engine.nearest_parallel(&db, threads).unwrap();
+                let hits = parallel(&engine, &db, QueryKind::Nearest, threads);
                 prop_assert_eq!(
-                    &hit, &legacy,
+                    &hits, &vec![legacy],
                     "config {} diverged at {} threads", name, threads
+                );
+                let hits = parallel(&engine, &db, QueryKind::KNearest(3), threads);
+                prop_assert_eq!(
+                    &hits, &legacy_knn,
+                    "config {} k-NN diverged at {} threads", name, threads
                 );
             }
         }
     }
+}
+
+/// `RotationQuery::search_parallel`, unbudgeted and unobserved.
+fn parallel(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    threads: usize,
+) -> Vec<Neighbor> {
+    let counter = &mut StepCounter::new();
+    let (outcome, _) = engine
+        .search_parallel(db, kind, threads, counter, &mut NoopObserver, None)
+        .unwrap();
+    outcome.into_inner()
+}
+
+/// `RotationQuery::search` for the nearest neighbour, reporting to
+/// `observer`.
+fn nearest_observed<O: SearchObserver>(engine: &RotationQuery, db: &[Vec<f64>], observer: &mut O) {
+    let counter = &mut StepCounter::new();
+    engine
+        .search(
+            db,
+            QueryKind::Nearest,
+            counter,
+            observer,
+            &mut NoBudget,
+            None,
+        )
+        .unwrap();
 }
 
 /// A small structured workload where pruning actually happens: shifted
@@ -235,9 +274,7 @@ fn tier_attribution_accounts_for_every_pruned_wedge() {
                 .unwrap()
                 .with_cascade(config);
             let mut trace = QueryTrace::new(query.len());
-            engine
-                .nearest_observed(&db, &mut StepCounter::new(), &mut trace)
-                .unwrap();
+            nearest_observed(&engine, &db, &mut trace);
             let by_level: u64 = (0..trace.levels()).map(|l| trace.pruned(l)).sum();
             assert_eq!(
                 trace.tier_pruned_total(),
@@ -265,9 +302,7 @@ fn lcss_stays_outside_the_cascade() {
     .unwrap()
     .with_cascade(CascadeConfig::all());
     let mut trace = QueryTrace::new(query.len());
-    engine
-        .nearest_observed(&db, &mut StepCounter::new(), &mut trace)
-        .unwrap();
+    nearest_observed(&engine, &db, &mut trace);
     for tier in CascadeTier::ALL {
         assert_eq!(trace.tier_tested(tier), 0, "{tier:?} fired under LCSS");
     }

@@ -6,7 +6,10 @@
 use proptest::prelude::*;
 use rotind::distance::rotation::{search_database, test_all_rotations};
 use rotind::distance::{DtwParams, LcssParams, Measure};
-use rotind::index::engine::{Invariance, KPolicy, RotationQuery};
+use rotind::index::engine::{Invariance, KPolicy, QueryKind, RotationQuery};
+use rotind::index::snapshot::{IndexSnapshot, QuerySpec};
+use rotind::index::SearchError;
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::ts::rotate::RotationMatrix;
 use rotind::ts::StepCounter;
 
@@ -28,6 +31,56 @@ fn measures() -> Vec<Measure> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The snapshot is the trust boundary for database contents: it
+    /// refuses a NaN or an infinity by item and position, and on every
+    /// database it accepts, the served answer equals the brute-force
+    /// oracle.
+    #[test]
+    fn engine_equals_oracle_on_every_accepted_database(
+        query in series_strategy(16),
+        db in db_strategy(16, 10),
+        item in 0usize..10,
+        position in 0usize..16,
+        poison in 0usize..4,
+        measure_idx in 0usize..3,
+    ) {
+        let mut db = db;
+        let item = item % db.len();
+        let bad = [None, Some(f64::NAN), Some(f64::INFINITY), Some(f64::NEG_INFINITY)][poison];
+        if let Some(bad) = bad {
+            db[item][position] = bad;
+        }
+        let measure = measures()[measure_idx];
+        let engine = RotationQuery::with_measure(&query, Invariance::Rotation, measure).unwrap();
+        match IndexSnapshot::new(db.clone()) {
+            Err(err) => {
+                prop_assert!(bad.is_some(), "a finite database was refused: {:?}", err);
+                let expected = SearchError::NonFinite { index: item, position };
+                prop_assert_eq!(&err, &expected);
+                prop_assert_eq!(engine.nearest(&db).unwrap_err(), expected);
+            }
+            Ok(snapshot) => {
+                prop_assert!(bad.is_none(), "a non-finite database was accepted");
+                let spec = QuerySpec {
+                    series: query.clone(),
+                    invariance: Invariance::Rotation,
+                    measure,
+                    kind: QueryKind::Nearest,
+                };
+                let hits = snapshot
+                    .execute(&spec, &mut StepCounter::new(), &mut NoopObserver, &mut NoBudget, None)
+                    .unwrap()
+                    .into_inner();
+                let matrix = RotationMatrix::full(&query).unwrap();
+                let oracle =
+                    search_database(&matrix, &db, measure, &mut StepCounter::new()).unwrap();
+                prop_assert_eq!(hits.len(), 1);
+                prop_assert_eq!(hits[0].index, oracle.index);
+                prop_assert!((hits[0].distance - oracle.distance).abs() < 1e-9);
+            }
+        }
+    }
 
     #[test]
     fn nearest_equals_brute_force(

@@ -6,9 +6,23 @@
 
 use proptest::prelude::*;
 use rotind::distance::{DtwParams, LcssParams, Measure};
-use rotind::index::engine::{Invariance, RotationQuery};
-use rotind::prelude::{NoopObserver, QueryTrace};
+use rotind::index::engine::{Invariance, Neighbor, QueryKind, RotationQuery};
+use rotind::prelude::{NoBudget, NoopObserver, QueryTrace, SearchObserver};
 use rotind::ts::StepCounter;
+
+/// `RotationQuery::search`, unbudgeted and uncached.
+fn observed<O: SearchObserver>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    counter: &mut StepCounter,
+    observer: &mut O,
+) -> Vec<Neighbor> {
+    engine
+        .search(db, kind, counter, observer, &mut NoBudget, None)
+        .unwrap()
+        .into_inner()
+}
 
 fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-5.0f64..5.0, n)
@@ -40,15 +54,11 @@ proptest! {
             RotationQuery::with_measure(&query, Invariance::Rotation, measure).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .nearest_observed(&db, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let plain = observed(&engine, &db, QueryKind::Nearest, &mut plain_counter, &mut NoopObserver)[0];
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .nearest_observed(&db, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = observed(&engine, &db, QueryKind::Nearest, &mut traced_counter, &mut trace)[0];
 
         prop_assert_eq!(plain.index, traced.index);
         prop_assert_eq!(plain.rotation, traced.rotation);
@@ -72,15 +82,12 @@ proptest! {
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .k_nearest_observed(&db, k, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let kind = QueryKind::KNearest(k);
+        let plain = observed(&engine, &db, kind, &mut plain_counter, &mut NoopObserver);
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .k_nearest_observed(&db, k, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = observed(&engine, &db, kind, &mut traced_counter, &mut trace);
 
         prop_assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {
@@ -99,15 +106,12 @@ proptest! {
         let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
         let mut plain_counter = StepCounter::new();
-        let plain = engine
-            .range_observed(&db, radius, &mut plain_counter, &mut NoopObserver)
-            .unwrap();
+        let kind = QueryKind::Range(radius);
+        let plain = observed(&engine, &db, kind, &mut plain_counter, &mut NoopObserver);
 
         let mut trace = QueryTrace::new(query.len());
         let mut traced_counter = StepCounter::new();
-        let traced = engine
-            .range_observed(&db, radius, &mut traced_counter, &mut trace)
-            .unwrap();
+        let traced = observed(&engine, &db, kind, &mut traced_counter, &mut trace);
 
         prop_assert_eq!(plain.len(), traced.len());
         for (a, b) in plain.iter().zip(&traced) {

@@ -4,8 +4,9 @@
 
 use rotind::distance::{DtwParams, Measure};
 use rotind::index::disk::{IndexedDatabase, ReducedRepr};
-use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::engine::{Invariance, QueryKind, RotationQuery};
 use rotind::lightcurve::dataset::light_curves;
+use rotind::obs::{NoBudget, NoopObserver};
 use rotind::shape::bitmap::Bitmap;
 use rotind::shape::centroid::shape_to_series;
 use rotind::shape::dataset as shapes;
@@ -194,7 +195,14 @@ fn step_counts_are_reproducible() {
         let engine = RotationQuery::new(&query, Invariance::Rotation).expect("valid");
         let mut counter = StepCounter::new();
         engine
-            .nearest_with_steps(&db, &mut counter)
+            .search(
+                &db,
+                QueryKind::Nearest,
+                &mut counter,
+                &mut NoopObserver,
+                &mut NoBudget,
+                None,
+            )
             .expect("non-empty");
         counter.steps()
     };

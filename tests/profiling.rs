@@ -17,10 +17,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 use rotind::distance::dtw::DtwParams;
 use rotind::distance::measure::Measure;
-use rotind::index::engine::{Invariance, RotationQuery};
+use rotind::index::engine::{Invariance, Neighbor, QueryKind, RotationQuery};
 use rotind::index::CascadeConfig;
 use rotind::obs::{
-    BudgetHook, CascadeTier, LogHistogram, ManualClock, MetricsRegistry, NoBudget,
+    BudgetHook, CascadeTier, LogHistogram, ManualClock, MetricsRegistry, NoBudget, SearchObserver,
     DEADLINE_POLL_STEPS,
 };
 use rotind::prelude::{
@@ -34,6 +34,31 @@ fn series_strategy(n: usize) -> impl Strategy<Value = Vec<f64>> {
 
 fn db_strategy(n: usize, m: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
     prop::collection::vec(series_strategy(n), 1..=m)
+}
+
+/// `RotationQuery::search`, uncached.
+fn scan<O: SearchObserver, B: BudgetHook>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    kind: QueryKind,
+    counter: &mut StepCounter,
+    observer: &mut O,
+    budget: &mut B,
+) -> BudgetOutcome<Vec<Neighbor>> {
+    engine
+        .search(db, kind, counter, observer, budget, None)
+        .unwrap()
+}
+
+/// The unbudgeted nearest neighbour, reporting to `observer`.
+fn nearest_observed<O: SearchObserver>(
+    engine: &RotationQuery,
+    db: &[Vec<f64>],
+    counter: &mut StepCounter,
+    observer: &mut O,
+) -> Neighbor {
+    let kind = QueryKind::Nearest;
+    scan(engine, db, kind, counter, observer, &mut NoBudget).into_inner()[0]
 }
 
 /// Every configuration the engine can run under: the `ROTIND_CASCADE`
@@ -173,26 +198,20 @@ proptest! {
                 .with_cascade(config);
 
             let mut plain_counter = StepCounter::new();
-            let plain = engine.nearest_with_steps(&db, &mut plain_counter).unwrap();
+            let plain = nearest_observed(&engine, &db, &mut plain_counter, &mut NoopObserver);
 
             // Profiler attached (wall-clock reads, phase events).
             let mut profiler = Profiler::new();
             let mut prof_counter = StepCounter::new();
-            let profiled = engine
-                .nearest_observed(&db, &mut prof_counter, &mut profiler)
-                .unwrap();
+            let profiled = nearest_observed(&engine, &db, &mut prof_counter, &mut profiler);
 
             // Budget plumbing engaged with nothing to trip: NoBudget and
             // a limitless QueryBudget must both stay bit-identical.
             let mut nb_counter = StepCounter::new();
-            let via_nobudget = engine
-                .k_nearest_budgeted(&db, 1, &mut nb_counter, &mut NoopObserver, &mut NoBudget)
-                .unwrap();
+            let via_nobudget = scan(&engine, &db, QueryKind::Nearest, &mut nb_counter, &mut NoopObserver, &mut NoBudget);
             let mut qb_counter = StepCounter::new();
             let mut limitless = QueryBudget::new(None, None);
-            let via_limitless = engine
-                .k_nearest_budgeted(&db, 1, &mut qb_counter, &mut NoopObserver, &mut limitless)
-                .unwrap();
+            let via_limitless = scan(&engine, &db, QueryKind::Nearest, &mut qb_counter, &mut NoopObserver, &mut limitless);
 
             prop_assert_eq!(&plain, &profiled, "profiler changed the answer ({})", name);
             prop_assert_eq!(
@@ -217,9 +236,7 @@ proptest! {
             // must agree with QueryTrace's aggregate counters.
             let mut trace = QueryTrace::new(query.len());
             let mut trace_counter = StepCounter::new();
-            engine
-                .nearest_observed(&db, &mut trace_counter, &mut trace)
-                .unwrap();
+            nearest_observed(&engine, &db, &mut trace_counter, &mut trace);
             prop_assert_eq!(trace_counter.steps(), plain_counter.steps());
             for tier in CascadeTier::ALL {
                 let cost = &profiler.tier_costs()[tier.index()];
@@ -247,28 +264,34 @@ proptest! {
             let engine = RotationQuery::new(&query, Invariance::Rotation)
                 .unwrap()
                 .with_cascade(config);
-            let sequential = engine.nearest(&db).unwrap();
+            for (kind, sequential) in [
+                (QueryKind::Nearest, vec![engine.nearest(&db).unwrap()]),
+                (QueryKind::KNearest(3), engine.k_nearest(&db, 3).unwrap()),
+            ] {
+                let mut profiler = Profiler::new();
+                let mut counter = StepCounter::new();
+                let (outcome, report) = engine
+                    .search_parallel(&db, kind, 4, &mut counter, &mut profiler, None)
+                    .unwrap();
+                prop_assert_eq!(
+                    &outcome.into_inner(), &sequential,
+                    "profiled parallel diverged ({}, {:?})", name, kind
+                );
+                prop_assert!(report.threads >= 1);
 
-            let mut profiler = Profiler::new();
-            let mut counter = StepCounter::new();
-            let (hit, report) = engine
-                .nearest_parallel_observed(&db, 4, &mut counter, &mut profiler)
-                .unwrap();
-            prop_assert_eq!(&hit, &sequential, "profiled parallel diverged ({})", name);
-            prop_assert!(report.threads >= 1);
-
-            let mut budget_counter = StepCounter::new();
-            let limitless = QueryBudget::new(None, None);
-            let (outcome, _) = engine
-                .nearest_parallel_budgeted(
-                    &db, 4, &mut budget_counter, &mut NoopObserver, &limitless,
-                )
-                .unwrap();
-            prop_assert!(outcome.is_complete(), "limitless budget tripped ({})", name);
-            prop_assert_eq!(
-                outcome.into_inner().as_ref(), Some(&sequential),
-                "budgeted parallel diverged ({})", name
-            );
+                let mut budget_counter = StepCounter::new();
+                let limitless = QueryBudget::new(None, None);
+                let (outcome, _) = engine
+                    .search_parallel(
+                        &db, kind, 4, &mut budget_counter, &mut NoopObserver, Some(&limitless),
+                    )
+                    .unwrap();
+                prop_assert!(outcome.is_complete(), "limitless budget tripped ({})", name);
+                prop_assert_eq!(
+                    &outcome.into_inner(), &sequential,
+                    "budgeted parallel diverged ({}, {:?})", name, kind
+                );
+            }
         }
     }
 }
@@ -295,14 +318,19 @@ fn step_budget_trips_with_valid_partial() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
     let mut full_counter = StepCounter::new();
-    let full = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let full = nearest_observed(&engine, &db, &mut full_counter, &mut NoopObserver);
     let limit = full_counter.steps() / 4;
 
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::max_steps(limit);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a quarter-step budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -327,9 +355,14 @@ fn step_budget_trips_with_valid_partial() {
     // A roomy budget never trips and returns the full answer.
     let mut counter = StepCounter::new();
     let mut roomy = QueryBudget::max_steps(full_counter.steps() * 2);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut roomy)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut counter,
+        &mut NoopObserver,
+        &mut roomy,
+    );
     assert!(outcome.is_complete());
     assert_eq!(outcome.into_inner()[0], full);
 }
@@ -340,9 +373,14 @@ fn zero_deadline_trips_immediately() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::deadline(Duration::ZERO);
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("an already-expired deadline must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -385,7 +423,7 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
     let (query, db) = workload(80, 32);
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut full_counter = StepCounter::new();
-    let full = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let full = nearest_observed(&engine, &db, &mut full_counter, &mut NoopObserver);
 
     // Expire the deadline at one third of the full scan: the trip must
     // land within one poll window of that point, every run.
@@ -398,9 +436,14 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
         advanced: false,
     };
     let mut counter = StepCounter::new();
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a mid-scan deadline expiry must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -451,9 +494,14 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
         advanced: false,
     };
     let mut counter2 = StepCounter::new();
-    let outcome2 = engine
-        .k_nearest_budgeted(&db, 1, &mut counter2, &mut NoopObserver, &mut budget2)
-        .unwrap();
+    let outcome2 = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut counter2,
+        &mut NoopObserver,
+        &mut budget2,
+    );
     match outcome2 {
         BudgetOutcome::Complete(_) => panic!("second run must trip too"),
         BudgetOutcome::Exhausted(ex) => assert_eq!(
@@ -469,9 +517,14 @@ fn manual_clock_deadline_trips_deterministically_mid_scan() {
     let idle_clock = ManualClock::new();
     let mut idle = QueryBudget::with_clock(None, Some(Duration::from_secs(1)), &idle_clock);
     let mut idle_counter = StepCounter::new();
-    let outcome = engine
-        .k_nearest_budgeted(&db, 1, &mut idle_counter, &mut NoopObserver, &mut idle)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        QueryKind::Nearest,
+        &mut idle_counter,
+        &mut NoopObserver,
+        &mut idle,
+    );
     assert!(outcome.is_complete());
     assert_eq!(outcome.into_inner()[0], full);
     assert_eq!(
@@ -499,22 +552,27 @@ fn range_budget_returns_prefix_hits() {
 
     let mut full_counter = StepCounter::new();
     let all = engine.range(&db, radius).unwrap();
-    engine
-        .range_budgeted(
-            &db,
-            radius,
-            &mut full_counter,
-            &mut NoopObserver,
-            &mut NoBudget,
-        )
-        .unwrap();
+    let kind = QueryKind::Range(radius);
+    scan(
+        &engine,
+        &db,
+        kind,
+        &mut full_counter,
+        &mut NoopObserver,
+        &mut NoBudget,
+    );
     assert!(!all.is_empty());
 
     let mut counter = StepCounter::new();
     let mut budget = QueryBudget::max_steps(full_counter.steps() / 3);
-    let outcome = engine
-        .range_budgeted(&db, radius, &mut counter, &mut NoopObserver, &mut budget)
-        .unwrap();
+    let outcome = scan(
+        &engine,
+        &db,
+        kind,
+        &mut counter,
+        &mut NoopObserver,
+        &mut budget,
+    );
     match outcome {
         BudgetOutcome::Complete(_) => panic!("a third-step budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
@@ -535,19 +593,21 @@ fn parallel_shared_budget_trips_and_reports_spend() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
 
     let mut full_counter = StepCounter::new();
-    let sequential = engine.nearest_with_steps(&db, &mut full_counter).unwrap();
+    let sequential = nearest_observed(&engine, &db, &mut full_counter, &mut NoopObserver);
 
     let tight = QueryBudget::max_steps(full_counter.steps() / 8);
     let mut counter = StepCounter::new();
+    let kind = QueryKind::Nearest;
     let (outcome, _) = engine
-        .nearest_parallel_budgeted(&db, 4, &mut counter, &mut NoopObserver, &tight)
+        .search_parallel(&db, kind, 4, &mut counter, &mut NoopObserver, Some(&tight))
         .unwrap();
     match outcome {
         BudgetOutcome::Complete(_) => panic!("an eighth-step shared budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
             assert_eq!(ex.reason, BudgetReason::Steps);
             assert!(ex.steps_spent > 0, "the pool must account spent steps");
-            if let Some(hit) = ex.partial {
+            assert!(ex.partial.len() <= 1);
+            for hit in &ex.partial {
                 let exact = engine.distance_to(&db[hit.index]).unwrap();
                 assert!((hit.distance - exact).abs() < 1e-9);
             }
@@ -557,10 +617,10 @@ fn parallel_shared_budget_trips_and_reports_spend() {
     let roomy = QueryBudget::max_steps(full_counter.steps() * 4);
     let mut counter = StepCounter::new();
     let (outcome, _) = engine
-        .nearest_parallel_budgeted(&db, 4, &mut counter, &mut NoopObserver, &roomy)
+        .search_parallel(&db, kind, 4, &mut counter, &mut NoopObserver, Some(&roomy))
         .unwrap();
     assert!(outcome.is_complete());
-    assert_eq!(outcome.into_inner(), Some(sequential));
+    assert_eq!(outcome.into_inner(), vec![sequential]);
 }
 
 // ---------------------------------------------------------------------
@@ -573,9 +633,7 @@ fn profiler_builds_the_expected_span_tree() {
     let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
     let mut profiler = Profiler::new();
     let mut counter = StepCounter::new();
-    engine
-        .nearest_observed(&db, &mut counter, &mut profiler)
-        .unwrap();
+    nearest_observed(&engine, &db, &mut counter, &mut profiler);
 
     let tree = profiler.tree();
     let root = tree.root("query").expect("a query span");
