@@ -19,7 +19,10 @@ use rotind_ts::rotate::{Rotation, RotationMatrix};
 ///
 /// The construction cost is the paper's `O(n²)` wedge-build startup:
 /// `O(n²)` for the shift-profile distance matrix, `O(n²)` for NN-chain
-/// clustering, and `O(n²)` to materialise all `2·rows − 1` wedges.
+/// clustering, and `O(n²)` to materialise all `2·rows − 1` wedge
+/// envelopes. Abandon orders are not part of it: each wedge sorts its
+/// own, `O(n log n)`, on the first reordered `LB_Keogh` test that reads
+/// it, so a search pays only for the nodes it actually tests.
 #[derive(Debug, Clone)]
 pub struct WedgeTree {
     matrix: RotationMatrix,
@@ -36,8 +39,9 @@ impl WedgeTree {
     /// `linkage` (the paper uses group-average) and widening lower-bound
     /// envelopes by the DTW band `band` (0 for Euclidean/LCSS).
     pub fn build(matrix: RotationMatrix, linkage: Linkage, band: usize) -> Self {
-        let dist = rotation_distance_matrix(&matrix);
-        let dendrogram = cluster(&dist, linkage);
+        // The distance matrix is dropped before the wedges are built, so
+        // the two never occupy the heap at once.
+        let dendrogram = cluster(&rotation_distance_matrix(&matrix), linkage);
         Self::from_dendrogram(matrix, dendrogram, band)
     }
 
@@ -213,21 +217,24 @@ mod tests {
         }
     }
 
+    /// The shifts of the rotations under `node`.
+    fn shifts(t: &WedgeTree, node: usize) -> Vec<usize> {
+        t.dendrogram()
+            .members(node)
+            .iter()
+            .map(|&l| t.leaf_rotation(l).shift)
+            .collect()
+    }
+
     #[test]
-    fn wedge_members_match_dendrogram_members() {
-        let t = tree(12, 0);
-        for node in 0..t.dendrogram().num_nodes() {
-            let mut from_wedge: Vec<usize> =
-                t.wedge(node).members().iter().map(|r| r.shift).collect();
-            let mut from_tree: Vec<usize> = t
-                .dendrogram()
-                .members(node)
-                .iter()
-                .map(|&l| t.leaf_rotation(l).shift)
-                .collect();
-            from_wedge.sort_unstable();
-            from_tree.sort_unstable();
-            assert_eq!(from_wedge, from_tree, "node {node}");
+    fn wedge_cardinality_matches_dendrogram_members() {
+        for band in [0usize, 2] {
+            let t = tree(12, band);
+            for node in 0..t.dendrogram().num_nodes() {
+                let size = t.dendrogram().members(node).len();
+                assert_eq!(t.wedge(node).cardinality(), size, "node {node}");
+                assert_eq!(t.lb_wedge(node).cardinality(), size, "node {node}");
+            }
         }
     }
 
@@ -237,12 +244,9 @@ mod tests {
         for k in [1usize, 2, 5, 12, 24] {
             let cut = t.cut_nodes(k);
             assert_eq!(cut.len(), k);
-            let mut shifts: Vec<usize> = cut
-                .iter()
-                .flat_map(|&n| t.wedge(n).members().iter().map(|r| r.shift))
-                .collect();
-            shifts.sort_unstable();
-            assert_eq!(shifts, (0..24).collect::<Vec<_>>(), "k = {k}");
+            let mut covered: Vec<usize> = cut.iter().flat_map(|&n| shifts(&t, n)).collect();
+            covered.sort_unstable();
+            assert_eq!(covered, (0..24).collect::<Vec<_>>(), "k = {k}");
         }
     }
 
@@ -261,14 +265,10 @@ mod tests {
         // or rotation n−1 (a circular neighbour).
         let holder = cut
             .iter()
-            .find(|&&node| t.wedge(node).members().iter().any(|r| r.shift == 0))
+            .find(|&&node| shifts(&t, node).contains(&0))
             .copied()
             .expect("some wedge holds rotation 0");
-        let has_neighbor = t
-            .wedge(holder)
-            .members()
-            .iter()
-            .any(|r| r.shift == 1 || r.shift == n - 1);
+        let has_neighbor = shifts(&t, holder).iter().any(|&s| s == 1 || s == n - 1);
         assert!(
             has_neighbor || t.wedge(holder).cardinality() == 1,
             "rotation 0 grouped without circular neighbours"

@@ -407,7 +407,7 @@ mod tests {
     use rotind_distance::dtw::{dtw, DtwParams};
     use rotind_distance::euclidean::euclidean;
     use rotind_distance::lcss::lcss_distance;
-    use rotind_ts::rotate::{Rotation, RotationMatrix};
+    use rotind_ts::rotate::RotationMatrix;
 
     fn steps() -> StepCounter {
         StepCounter::new()
@@ -423,7 +423,7 @@ mod tests {
     fn degenerates_to_euclidean_on_singleton() {
         let c = signal(24, 0.0);
         let q = signal(24, 1.0);
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         let lb = lb_keogh(&q, &w, &mut steps());
         assert!((lb - euclidean(&q, &c)).abs() < 1e-12);
     }
@@ -494,7 +494,7 @@ mod tests {
         // r == 0 with the query outside the envelope: the first positive
         // contribution exceeds r² = 0 and the scan abandons right there.
         let c = vec![0.0; 8];
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         let mut q = vec![0.0; 8];
         q[0] = 1.0;
         let mut s = steps();
@@ -506,7 +506,7 @@ mod tests {
     fn early_abandon_saves_steps() {
         let n = 128;
         let c = vec![0.0; n];
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         let mut q = vec![0.0; n];
         q[0] = 100.0;
         let mut s = steps();
@@ -518,7 +518,7 @@ mod tests {
     fn abandon_position_matches_step_count() {
         let n = 64;
         let c = vec![0.0; n];
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         for spike_at in [0usize, 13, 40, 63] {
             let mut q = vec![0.0; n];
             q[spike_at] = 100.0;
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn lcss_bound_detects_gross_mismatch() {
         let c = vec![0.0; 20];
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         let q = vec![100.0; 20];
         let params = LcssParams::new(0.5, 2);
         let lb = lcss_distance_lower_bound(&q, &w, params, &mut steps());
@@ -633,7 +633,7 @@ mod tests {
         let n = 64;
         let mut member = vec![0.0; n];
         member[n - 2] = 100.0;
-        let spiked = Wedge::from_single(&member, Rotation::shift(0));
+        let spiked = Wedge::from_single(&member);
         let q0 = vec![0.0; n];
         let mut nat = steps();
         let pos = lb_keogh_early_abandon_at(&q0, &spiked, 1.0, &mut nat)
@@ -725,7 +725,7 @@ mod tests {
     #[test]
     fn step_accounting() {
         let c = signal(33, 0.0);
-        let w = Wedge::from_single(&c, Rotation::shift(0));
+        let w = Wedge::from_single(&c);
         let q = signal(33, 0.5);
         let mut s = steps();
         lb_keogh(&q, &w, &mut s);

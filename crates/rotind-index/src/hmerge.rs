@@ -245,7 +245,7 @@ fn node_tier_bound<O: SearchObserver>(
 /// best rotation match to `candidate` within `r`, inclusive — a rotation
 /// at exactly distance `r` is returned. Returns `None` only when every
 /// rotation is provably farther than `r`, or when the budget tripped
-/// before any leaf was admitted. Exact-distance ties are broken by the
+/// during the walk. Exact-distance ties are broken by the
 /// canonical rotation order (`rotation_key`), never by traversal
 /// order.
 ///
@@ -258,8 +258,9 @@ fn node_tier_bound<O: SearchObserver>(
 ///
 /// `budget` is checked at every dismissal boundary: the top of the pop
 /// loop, before any bound is evaluated for the popped wedge. When it
-/// trips, the walk stops and returns the running best — a valid
-/// *partial* result, exact for the rotations actually visited. With
+/// trips, the walk stops and returns `None`: the unvisited wedges may
+/// hold a closer rotation, so the running best is not the candidate's
+/// distance and must not be reported as one. With
 /// [`rotind_obs::NoBudget`] the check is a constant `true`.
 ///
 /// `ctx` holds the candidate's lazily built tier-2 PAA projection and
@@ -308,9 +309,10 @@ pub fn h_merge_cascade<O: SearchObserver, B: BudgetHook>(
     let mut stack: Vec<(usize, usize)> = cut.iter().map(|&node| (node, 0)).collect();
     while let Some((node, level)) = stack.pop() {
         // Dismissal boundary: a tripped budget abandons the remaining
-        // wedges. The hook is sticky, so the caller can read the trip
-        // reason afterwards.
+        // wedges and the candidate with them. The hook is sticky, so the
+        // caller can read the trip reason afterwards.
         if !budget.check(counter.steps()) {
+            best = None;
             break;
         }
         let is_leaf = tree.is_leaf(node);

@@ -236,7 +236,7 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         for d in [2usize, 4, 8, 16, 32] {
-            let w = rotind_envelope::Wedge::from_single(&c, rotind_ts::rotate::Rotation::shift(0));
+            let w = rotind_envelope::Wedge::from_single(&c);
             let env = PaaEnvelope::of_wedge(&w, d);
             let lb = env.min_dist(&Paa::of(&q, d), &mut steps());
             assert!(lb <= ed + 1e-9, "d = {d}: {lb} > {ed}");
@@ -337,10 +337,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segment mismatch")]
     fn mismatched_segments_panic() {
-        let w = rotind_envelope::Wedge::from_single(
-            &signal(32, 0.0),
-            rotind_ts::rotate::Rotation::shift(0),
-        );
+        let w = rotind_envelope::Wedge::from_single(&signal(32, 0.0));
         let env = PaaEnvelope::of_wedge(&w, 4);
         let paa = Paa::of(&signal(32, 0.0), 8);
         env.min_dist(&paa, &mut steps());

@@ -18,7 +18,6 @@ use rotind_cluster::Dendrogram;
 use rotind_distance::measure::Measure;
 use rotind_envelope::lb_keogh::lb_keogh_early_abandon;
 use rotind_envelope::Wedge;
-use rotind_ts::rotate::Rotation;
 use rotind_ts::StepCounter;
 
 /// A match reported by the filter: which pattern fired, at which stream
@@ -129,12 +128,10 @@ impl StreamFilter {
 
         let dendrogram = cluster_series(&patterns, Linkage::Average);
         let band = measure.warping_band();
-        // Leaf wedges (widened for DTW), then internal merges. The `tag`
-        // on each wedge member records the pattern index in the
-        // `Rotation::shift` field (wedge members are nominally rotations;
-        // here the "rotation" is simply an id).
+        // Leaf wedges (widened for DTW), then internal merges; node ids
+        // follow the dendrogram, so leaf `i` is pattern `i`.
         let mut wedges: Vec<Wedge> = (0..patterns.len())
-            .map(|i| Wedge::from_single(&patterns[i], Rotation::shift(i)).widened(band))
+            .map(|i| Wedge::from_single(&patterns[i]).widened(band))
             .collect();
         let mut node_max_threshold: Vec<f64> = thresholds.clone();
         for merge in dendrogram.merges() {

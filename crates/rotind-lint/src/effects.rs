@@ -530,6 +530,10 @@ const BLOCKING_METHODS: &[&str] = &[
     "flush",
     "accept",
     "connect",
+    // A concurrent first reader of a `OnceLock`/`OnceCell` waits for the
+    // initializer another thread is running.
+    "get_or_init",
+    "get_or_try_init",
 ];
 
 /// Does `e` intrinsically may-block? Returns the site description.
@@ -542,6 +546,9 @@ pub fn blocking_effect(e: &Expr) -> Option<String> {
                     "recv" => "blocks on an unbounded channel `recv`",
                     "send" => "may block on a bounded channel `send`",
                     "wait" | "wait_timeout" => "waits on a condvar/barrier",
+                    "get_or_init" | "get_or_try_init" => {
+                        "waits for another thread's `OnceLock` initializer"
+                    }
                     _ => "performs blocking file/socket IO",
                 };
                 return Some(format!("`.{name}()` {what}"));
@@ -664,7 +671,7 @@ mod tests {
     fn blocking_sites_classified() {
         let (files, fx, _) = analyzed(&[(
             "crates/a/src/x.rs",
-            "fn a(m: &Mutex<u64>) -> u64 { *m.lock().unwrap_or_else(|p| p.into_inner()) }\nfn b(rx: &Receiver<u64>) -> u64 { rx.recv().unwrap_or(0) }\nfn c() { thread::sleep(core); }\nfn d(parts: &[String]) -> String { parts.join(\"-\") }\nfn e(h: JoinHandle<()>) { let _ = h.join(); }\n",
+            "fn a(m: &Mutex<u64>) -> u64 { *m.lock().unwrap_or_else(|p| p.into_inner()) }\nfn b(rx: &Receiver<u64>) -> u64 { rx.recv().unwrap_or(0) }\nfn c() { thread::sleep(core); }\nfn d(parts: &[String]) -> String { parts.join(\"-\") }\nfn e(h: JoinHandle<()>) { let _ = h.join(); }\nfn f(c: &OnceLock<u64>) -> u64 { *c.get_or_init(|| 1) }\n",
         )]);
         assert!(effects_of(&files, &fx, "a").unwrap().may_block);
         assert!(effects_of(&files, &fx, "b").unwrap().may_block);
@@ -674,6 +681,7 @@ mod tests {
             "str join takes an argument and never blocks"
         );
         assert!(effects_of(&files, &fx, "e").unwrap().may_block);
+        assert!(effects_of(&files, &fx, "f").unwrap().may_block);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Seeded violation: the worker loop looks lock-free here — the mutex
-//! hides two calls down, in `metrics.rs`.
+//! Seeded violations: the worker loop looks lock-free here — the mutex
+//! hides two calls down, in `metrics.rs`, and a `OnceLock` first-read
+//! wait hides in `order.rs`.
 
 pub fn worker_loop(s: &Shared) {
     run_job(s);
@@ -7,4 +8,5 @@ pub fn worker_loop(s: &Shared) {
 
 fn run_job(s: &Shared) {
     observe(s);
+    abandon_order(&s.wedge);
 }

@@ -1,5 +1,6 @@
-//! The burned-down twin: the designed admission wait carries a reasoned
-//! allowlist comment; the metrics path switched to `try_lock`.
+//! The burned-down twin: the designed admission wait and the bounded
+//! `OnceLock` first-read wait carry reasoned allowlist comments; the
+//! metrics path switched to `try_lock`.
 
 pub fn worker_loop(s: &Shared) {
     // lint: blocking-allowed(idle wait for the next admitted job is the designed parking point)
@@ -9,4 +10,5 @@ pub fn worker_loop(s: &Shared) {
 
 fn run_job(s: &Shared, _job: Job) {
     observe(s);
+    abandon_order(&s.wedge);
 }

@@ -273,6 +273,11 @@ fn no_blocking_in_worker_fixture_pair() {
         }),
         "the metrics.rs finding must witness back into loop.rs: {hits:?}"
     );
+    assert!(
+        hits.iter()
+            .any(|f| f.path.ends_with("order.rs") && f.message.contains("get_or_init")),
+        "the unvouched `OnceLock` first-read wait must be flagged: {hits:?}"
+    );
     assert_pair(
         "no-blocking-in-worker",
         "no_blocking_in_worker_bad",

@@ -40,7 +40,7 @@
 //! then drops the queue senders so workers drain what was admitted and
 //! exit — admitted queries are answered, never abandoned.
 
-use crate::wire::{self, error_code, QueryResponse, QueryStatus, Request, Response};
+use crate::wire::{self, error_code, QueryResponse, QueryStatus, Request, Response, WireError};
 use rotind_index::cascade::BatchPaaCache;
 use rotind_index::error::SearchError;
 use rotind_index::snapshot::{IndexSnapshot, QuerySpec};
@@ -327,8 +327,17 @@ fn handle_request(shared: &Shared, sender: &SyncSender<Job>, payload: &[u8]) -> 
         Ok(request) => request,
         Err(e) => {
             lock_metrics(shared).counter_add("rotind_serve_errors_total", 1);
+            let code = match e {
+                WireError::NonFiniteSample { .. } => error_code::BAD_QUERY,
+                WireError::NonFiniteParam { .. } => error_code::BAD_PARAM,
+                WireError::FrameTooLarge { .. }
+                | WireError::Truncated { .. }
+                | WireError::BadTag { .. }
+                | WireError::BadUtf8
+                | WireError::TrailingBytes { .. } => error_code::MALFORMED,
+            };
             return Response::Error {
-                code: error_code::MALFORMED,
+                code,
                 message: e.to_string(),
             };
         }

@@ -75,6 +75,16 @@ pub enum WireError {
         /// Number of unread bytes.
         len: usize,
     },
+    /// A query sample is NaN or infinite.
+    NonFiniteSample {
+        /// Position of the first such sample in the series.
+        position: usize,
+    },
+    /// A floating-point query parameter is NaN or infinite.
+    NonFiniteParam {
+        /// Which parameter.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -90,6 +100,12 @@ impl std::fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::TrailingBytes { len } => {
                 write!(f, "{len} unread bytes after the end of the message")
+            }
+            WireError::NonFiniteSample { position } => {
+                write!(f, "query sample at position {position} is NaN or infinite")
+            }
+            WireError::NonFiniteParam { field } => {
+                write!(f, "query parameter `{field}` is NaN or infinite")
             }
         }
     }
@@ -209,7 +225,8 @@ pub enum Response {
 
 /// Error codes carried by [`Response::Error`].
 pub mod error_code {
-    /// The frame payload failed to decode.
+    /// The frame payload failed to decode (a non-finite query value
+    /// decodes to [`BAD_QUERY`] or [`BAD_PARAM`] instead).
     pub const MALFORMED: u16 = 1;
     /// The query series was rejected (wrong length, non-finite, …).
     pub const BAD_QUERY: u16 = 2;
@@ -426,7 +443,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out
 }
 
-/// Decode a request payload.
+/// Decode a request payload. Query samples and the LCSS `epsilon` must
+/// be finite; the first one that is not fails the decode.
 pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
     let mut r = Reader::new(buf);
     let op = r.u8("opcode")?;
@@ -469,6 +487,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
             let measure = match measure_tag {
                 MEASURE_EUCLIDEAN => Measure::Euclidean,
                 MEASURE_DTW => Measure::Dtw(DtwParams { band }),
+                MEASURE_LCSS if !epsilon.is_finite() => {
+                    return Err(WireError::NonFiniteParam { field: "epsilon" })
+                }
                 MEASURE_LCSS => Measure::Lcss(LcssParams { epsilon, delta }),
                 v => {
                     return Err(WireError::BadTag {
@@ -489,6 +510,9 @@ pub fn decode_request(buf: &[u8]) -> Result<Request, WireError> {
             let mut series = Vec::with_capacity(n.min(MAX_FRAME_LEN / 8));
             for _ in 0..n {
                 series.push(r.f64("series")?);
+            }
+            if let Some(position) = series.iter().position(|v| !v.is_finite()) {
+                return Err(WireError::NonFiniteSample { position });
             }
             Request::Query(QueryRequest {
                 spec: QuerySpec {
@@ -777,6 +801,39 @@ mod tests {
                 value: 9
             })
         ));
+    }
+
+    #[test]
+    fn non_finite_samples_and_epsilon_are_typed_errors() {
+        let query = |series: Vec<f64>, measure| {
+            encode_request(&Request::Query(QueryRequest {
+                spec: QuerySpec {
+                    series,
+                    invariance: Invariance::Rotation,
+                    measure,
+                    kind: QueryKind::Nearest,
+                },
+                max_steps: None,
+                deadline: None,
+            }))
+        };
+        for bad in [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                decode_request(&query(vec![1.0, 2.0, bad], Measure::Euclidean)),
+                Err(WireError::NonFiniteSample { position: 2 })
+            ));
+            let lcss = Measure::Lcss(LcssParams {
+                epsilon: bad,
+                delta: 1,
+            });
+            assert!(matches!(
+                decode_request(&query(vec![1.0, 2.0], lcss)),
+                Err(WireError::NonFiniteParam { field: "epsilon" })
+            ));
+        }
+        // Finite extremes are data, not errors.
+        let edge = query(vec![f64::MAX, -0.0, f64::MIN_POSITIVE], Measure::Euclidean);
+        assert!(decode_request(&edge).is_ok());
     }
 
     #[test]

@@ -235,6 +235,40 @@ fn malformed_and_invalid_queries_are_typed_errors() {
         other => panic!("expected an error, got {other:?}"),
     }
 
+    // A non-finite sample is refused at decode as a bad query, and a
+    // non-finite LCSS epsilon as a bad parameter.
+    let mut series = signal(16, 0.2);
+    series[5] = f64::NAN;
+    let spec = QuerySpec {
+        series,
+        invariance: Invariance::Rotation,
+        measure: Measure::Euclidean,
+        kind: QueryKind::Nearest,
+    };
+    match client.query(&unbudgeted(&spec)).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::BAD_QUERY, "{message}");
+            assert!(message.contains("position 5"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let spec = QuerySpec {
+        series: signal(16, 0.2),
+        invariance: Invariance::Rotation,
+        measure: Measure::Lcss(LcssParams {
+            epsilon: f64::INFINITY,
+            delta: 1,
+        }),
+        kind: QueryKind::Nearest,
+    };
+    match client.query(&unbudgeted(&spec)).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::BAD_PARAM, "{message}");
+            assert!(message.contains("epsilon"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+
     // The connection survives errors: a good query still answers.
     let spec = QuerySpec {
         series: signal(16, 0.2),

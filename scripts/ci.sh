@@ -81,6 +81,8 @@ cargo build --release
 
 echo "==> benchmark harness build (perfbench/ is frozen; it must keep compiling against the API)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> benchmark harness self-test (quick-size oracle check of both workloads)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test (workspace)"
 cargo test --workspace -q

@@ -312,6 +312,51 @@ fn workload(m: usize, n: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
     (query, db)
 }
 
+/// A step budget that trips inside one candidate's wedge walk leaves
+/// that candidate's rotations partly unvisited, so the best of the
+/// visited ones is not its distance and must not become a hit. Every
+/// step limit up to the full spend is tried, for each query kind.
+#[test]
+fn a_walk_cut_short_by_the_budget_reports_no_hit() {
+    let (query, db) = workload(12, 24);
+    let engine = RotationQuery::new(&query, Invariance::Rotation).unwrap();
+    for kind in [
+        QueryKind::Nearest,
+        QueryKind::KNearest(3),
+        QueryKind::Range(2.5),
+    ] {
+        let mut full = StepCounter::new();
+        scan(
+            &engine,
+            &db,
+            kind,
+            &mut full,
+            &mut NoopObserver,
+            &mut NoBudget,
+        );
+        for limit in 1..=full.steps() {
+            let mut budget = QueryBudget::max_steps(limit);
+            let outcome = scan(
+                &engine,
+                &db,
+                kind,
+                &mut StepCounter::new(),
+                &mut NoopObserver,
+                &mut budget,
+            );
+            for hit in outcome.into_inner() {
+                let exact = engine.distance_to(&db[hit.index]).unwrap();
+                assert!(
+                    (hit.distance - exact).abs() < 1e-9,
+                    "{kind:?}, limit {limit}: item {} reported at {} but is at {exact}",
+                    hit.index,
+                    hit.distance
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn step_budget_trips_with_valid_partial() {
     let (query, db) = workload(40, 32);
@@ -595,14 +640,19 @@ fn parallel_shared_budget_trips_and_reports_spend() {
     let mut full_counter = StepCounter::new();
     let sequential = nearest_observed(&engine, &db, &mut full_counter, &mut NoopObserver);
 
-    let tight = QueryBudget::max_steps(full_counter.steps() / 8);
+    // The workers share their radius, so when the chunk holding the
+    // near-duplicate of the query runs first the others prune almost at
+    // once: an unbudgeted 4-thread scan of this workload has spent as
+    // little as a tenth of the sequential steps. A 1/64 budget trips
+    // under every schedule.
+    let tight = QueryBudget::max_steps(full_counter.steps() / 64);
     let mut counter = StepCounter::new();
     let kind = QueryKind::Nearest;
     let (outcome, _) = engine
         .search_parallel(&db, kind, 4, &mut counter, &mut NoopObserver, Some(&tight))
         .unwrap();
     match outcome {
-        BudgetOutcome::Complete(_) => panic!("an eighth-step shared budget must trip"),
+        BudgetOutcome::Complete(_) => panic!("a 1/64-step shared budget must trip"),
         BudgetOutcome::Exhausted(ex) => {
             assert_eq!(ex.reason, BudgetReason::Steps);
             assert!(ex.steps_spent > 0, "the pool must account spent steps");
