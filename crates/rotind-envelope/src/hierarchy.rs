@@ -14,15 +14,22 @@ use rotind_cluster::linkage::{cluster, Linkage};
 use rotind_cluster::rotation_shift::rotation_distance_matrix;
 use rotind_cluster::Dendrogram;
 use rotind_ts::rotate::{Rotation, RotationMatrix};
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A rotation matrix, its dendrogram, and a wedge for every node.
 ///
 /// The construction cost is the paper's `O(n²)` wedge-build startup:
 /// `O(n²)` for the shift-profile distance matrix, `O(n²)` for NN-chain
 /// clustering, and `O(n²)` to materialise all `2·rows − 1` wedge
-/// envelopes. Abandon orders are not part of it: each wedge sorts its
-/// own, `O(n log n)`, on the first reordered `LB_Keogh` test that reads
-/// it, so a search pays only for the nodes it actually tests.
+/// envelopes. Abandon orders are not part of it: a node's order is
+/// computed on the first reordered `LB_Keogh` test that reads it, so a
+/// search pays only for the nodes it actually tests. The rows are
+/// circular shifts of one series, so most nodes of a band-0 tree cover
+/// a translate of an earlier node's rotations, and their envelopes are
+/// that node's rotated. Such a node re-indexes the earlier node's order
+/// in `O(n)` instead of sorting its own in `O(n log n)`; only the first
+/// node of each translation class sorts.
 #[derive(Debug, Clone)]
 pub struct WedgeTree {
     matrix: RotationMatrix,
@@ -32,6 +39,51 @@ pub struct WedgeTree {
     /// Envelopes used for lower bounding: widened copies when `band > 0`.
     lb_wedges: Option<Vec<Wedge>>,
     band: usize,
+    /// Per node, when `band == 0`: the representative of its translation
+    /// class and the shift that maps the representative's rotations onto
+    /// its own (a representative maps to itself with shift 0). Empty when
+    /// `band > 0`: widened envelopes are clipped at the series ends, so
+    /// they are not rotations of each other.
+    classes: Vec<(usize, usize)>,
+    /// Abandon order per node, filled by [`WedgeTree::abandon_order`].
+    orders: Vec<OnceLock<Vec<u32>>>,
+}
+
+/// Translation class of every node, from the merge records with one
+/// map lookup per merge (an ordered map over the few classes a tree has
+/// costs less than hashing the keys). A leaf's class is its mirror flag, offset by its shift. A
+/// merge of children in classes `(c_l, t_l)` and `(c_r, t_r)` covers
+/// `c_l`'s rotations shifted by `t_l` together with `c_r`'s shifted by
+/// `t_r`, so its rotations up to translation are named by `(c_l, c_r,
+/// t_r − t_l mod n)`, taken in whichever child order gives the smaller
+/// key. The first node with a key represents the class; each node gets
+/// its representative and its shift from it.
+fn translation_classes(matrix: &RotationMatrix, dendrogram: &Dendrogram) -> Vec<(usize, usize)> {
+    let n = matrix.series_len();
+    // `a − b mod n` for `a, b < n`, without a division.
+    let sub = |a: usize, b: usize| if a >= b { a - b } else { a + n - b };
+    // Class key → (representative, the representative's own offset).
+    let mut first: BTreeMap<(usize, usize, usize), (usize, usize)> = BTreeMap::new();
+    let mut classes = Vec::with_capacity(dendrogram.num_nodes());
+    for (node, rotation) in matrix.rotations().iter().enumerate() {
+        // No node id is usize::MAX, so leaf keys never meet merge keys.
+        let key = (usize::MAX, usize::from(rotation.mirrored), 0);
+        let (rep, base) = *first.entry(key).or_insert((node, rotation.shift));
+        classes.push((rep, sub(rotation.shift, base)));
+    }
+    for (node, merge) in (matrix.num_rotations()..).zip(dendrogram.merges()) {
+        let class = match (classes.get(merge.left), classes.get(merge.right)) {
+            (Some(&(l, tl)), Some(&(r, tr))) => {
+                let (key, offset) =
+                    std::cmp::min(((l, r, sub(tr, tl)), tl), ((r, l, sub(tl, tr)), tr));
+                let (rep, base) = *first.entry(key).or_insert((node, offset));
+                (rep, sub(offset, base))
+            }
+            _ => (node, 0),
+        };
+        classes.push(class);
+    }
+    classes
 }
 
 impl WedgeTree {
@@ -82,12 +134,22 @@ impl WedgeTree {
                 .map(|w| w.widened_with(band, &mut scratch))
                 .collect()
         });
+        let classes = if band == 0 {
+            translation_classes(&matrix, &dendrogram)
+        } else {
+            Vec::new()
+        };
+        let orders = std::iter::repeat_with(OnceLock::new)
+            .take(wedges.len())
+            .collect();
         WedgeTree {
             matrix,
             dendrogram,
             wedges,
             lb_wedges,
             band,
+            classes,
+            orders,
         }
     }
 
@@ -146,6 +208,32 @@ impl WedgeTree {
         }
     }
 
+    /// Positions of the lower-bounding wedge at `node` in decreasing
+    /// expected-contribution order, for reordered early abandoning of
+    /// `LB_Keogh`: the permutation [`Wedge::sort_abandon_order`] gives,
+    /// computed on the first read and cached. A node whose envelopes are,
+    /// bit for bit, its class representative's rotated re-indexes the
+    /// representative's order instead of sorting; otherwise it sorts its
+    /// own. Empty for a node id outside the tree.
+    pub fn abandon_order(&self, node: usize) -> &[u32] {
+        let Some(order) = self.orders.get(node) else {
+            return &[];
+        };
+        let init = || {
+            let wedge = self.lb_wedge(node);
+            match self.classes.get(node) {
+                Some(&(rep, shift))
+                    if rep != node && wedge.is_rotation_of(self.lb_wedge(rep), shift) =>
+                {
+                    wedge.rotated_abandon_order(self.abandon_order(rep), shift)
+                }
+                _ => wedge.sort_abandon_order(),
+            }
+        };
+        // lint: blocking-allowed(a concurrent first reader waits for at most one O(n log n) sort of the class representative plus one O(n) re-index; a representative never waits on another node, and no IO or lock runs under it)
+        order.get_or_init(init)
+    }
+
     /// The rotation at a leaf node.
     ///
     /// # Panics
@@ -182,6 +270,7 @@ impl WedgeTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn signal(n: usize) -> Vec<f64> {
         (0..n)
@@ -306,6 +395,177 @@ mod tests {
                 assert!(t.wedge(r).area() <= t.wedge(node).area() + 1e-12);
             }
         }
+    }
+
+    /// Every node's cached order against a fresh sort of its wedge;
+    /// returns how many nodes re-indexed a representative's order and
+    /// how many had a representative but failed the bitwise check.
+    fn check_orders(t: &WedgeTree) -> (usize, usize) {
+        let (mut shared, mut fallback) = (0, 0);
+        for node in 0..t.dendrogram().num_nodes() {
+            let wedge = t.lb_wedge(node);
+            assert_eq!(
+                t.abandon_order(node),
+                wedge.sort_abandon_order(),
+                "node {node}"
+            );
+            if let Some(&(rep, shift)) = t.classes.get(node).filter(|c| c.0 != node) {
+                if wedge.is_rotation_of(t.lb_wedge(rep), shift) {
+                    shared += 1;
+                } else {
+                    fallback += 1;
+                }
+            }
+        }
+        (shared, fallback)
+    }
+
+    /// The four matrix kinds a query can build over `series`.
+    fn matrices(series: &[f64], max_shift: usize) -> Vec<RotationMatrix> {
+        let max_shift = max_shift.min(series.len() - 1);
+        vec![
+            RotationMatrix::full(series).unwrap(),
+            RotationMatrix::with_mirror(series).unwrap(),
+            RotationMatrix::limited(series, max_shift).unwrap(),
+            RotationMatrix::limited_with_mirror(series, max_shift).unwrap(),
+        ]
+    }
+
+    /// Series of one of three kinds, drawn from `raw`: random values; a
+    /// motif repeated `repeat` times (a series that is its own
+    /// translate); or small multiples of 0.5 whose zeros carry either
+    /// sign (exact key ties, and merges that may keep either zero).
+    fn awkward_series(kind: usize, raw: &[u64], repeat: usize) -> Vec<f64> {
+        let quantized = |r: u64| (r % 5) as f64 * 0.5 - 1.0;
+        match kind {
+            0 => raw
+                .iter()
+                .map(|&r| (r % 6001) as f64 / 1000.0 - 3.0)
+                .collect(),
+            1 => raw
+                .iter()
+                .take(5)
+                .map(|&r| quantized(r))
+                .collect::<Vec<_>>()
+                .repeat(repeat),
+            _ => raw
+                .iter()
+                .map(|&r| {
+                    let x = quantized(r);
+                    if r & 1 << 40 == 0 {
+                        x
+                    } else {
+                        -x
+                    }
+                })
+                .collect(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_shared_order_equals_a_fresh_sort(
+            kind in 0usize..3,
+            raw in prop::collection::vec(0u64..u64::MAX, 2..40),
+            repeat in 2usize..8,
+            max_shift in 1usize..12,
+        ) {
+            let series = awkward_series(kind, &raw, repeat);
+            for m in matrices(&series, max_shift) {
+                check_orders(&WedgeTree::new(m.clone(), 0));
+                let widened = WedgeTree::new(m, 2);
+                prop_assert!(widened.classes.is_empty(), "band > 0 trees share no order");
+                prop_assert_eq!(check_orders(&widened), (0, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn translates_share_and_signed_zeros_fall_back() {
+        let smooth = tree(64, 0);
+        let (shared, fallback) = check_orders(&smooth);
+        assert!(
+            shared > smooth.max_k(),
+            "most internal nodes are translates"
+        );
+        assert_eq!(fallback, 0);
+    }
+
+    #[test]
+    fn a_translate_merged_in_the_other_order_sorts_itself() {
+        // Node 12 merges rotations 0 and 1; node 13 merges their
+        // translates by 3 in the other child order. Where a `+0.0` and a
+        // `-0.0` tie, merge may keep either, so node 13's envelopes can
+        // differ in a sign bit from node 12's rotated, and it must then
+        // sort its own order.
+        let mut series = vec![0.0, -0.0];
+        series.extend((2..12).map(|i| f64::from(i % 4) - 1.5));
+        let m = RotationMatrix::full(&series).unwrap();
+        let pairs = [
+            (0, 1),
+            (4, 3),
+            (2, 5),
+            (6, 7),
+            (8, 9),
+            (10, 11),
+            (0, 4),
+            (2, 6),
+            (8, 10),
+            (0, 2),
+            (0, 8),
+        ];
+        let raw = (1..)
+            .zip(pairs)
+            .map(|(h, (a, b))| rotind_cluster::dendrogram::RawMerge {
+                a,
+                b,
+                height: f64::from(h),
+            })
+            .collect();
+        let t = WedgeTree::from_dendrogram(m, Dendrogram::from_raw_merges(12, raw), 0);
+        assert_eq!(t.classes[13], (12, 3));
+        let (plus, minus) = (
+            Wedge::from_single(&[0.0; 16]),
+            Wedge::from_single(&[-0.0; 16]),
+        );
+        let order_sensitive =
+            !Wedge::merge(&plus, &minus).is_rotation_of(&Wedge::merge(&minus, &plus), 0);
+        let (_, fallback) = check_orders(&t);
+        assert!(
+            fallback > 0 || !order_sensitive,
+            "merge keeps one operand's zero, yet no node fell back"
+        );
+    }
+
+    #[test]
+    fn concurrent_first_reads_see_the_fresh_permutation() {
+        let t = tree(251, 0);
+        let (member, (rep, _)) = (0..t.dendrogram().num_nodes())
+            .map(|node| (node, t.classes[node]))
+            .rfind(|&(node, (rep, _))| rep != node && !t.is_leaf(node))
+            .expect("a 251-rotation tree has a translated internal node");
+        let fresh = t.lb_wedge(member).sort_abandon_order();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            let readers: Vec<_> = [member, rep, member, rep]
+                .into_iter()
+                .map(|node| {
+                    let start = &start;
+                    let t = &t;
+                    s.spawn(move || {
+                        start.wait();
+                        (node, t.abandon_order(node).to_vec())
+                    })
+                })
+                .collect();
+            for reader in readers {
+                let (node, order) = reader.join().unwrap();
+                assert_eq!(order, t.lb_wedge(node).sort_abandon_order(), "node {node}");
+            }
+        });
+        assert_eq!(t.abandon_order(member), &fresh[..]);
     }
 
     #[test]

@@ -177,31 +177,28 @@ pub fn lb_kim(q: &[f64], wedge: &Wedge, counter: &mut StepCounter) -> f64 {
 
 /// Reordered early-abandoning `LB_Keogh` (cascade tier 3): identical sum
 /// to [`lb_keogh_early_abandon_at`], but the terms are accumulated in
-/// the wedge's precomputed decreasing expected-contribution order
-/// ([`Wedge::abandon_order`]) so the `r` threshold is typically crossed
-/// after a handful of terms. `Err(k)` reports the number of *terms*
-/// consumed (not a series position). The completed sum is mathematically
-/// the same as the natural-order one but may differ in the last float
-/// bits, so exact-distance paths (Euclidean singleton leaves, where the
-/// bound *is* the returned distance) must keep the natural order.
+/// `order`, the wedge's decreasing expected-contribution order
+/// ([`Wedge::sort_abandon_order`], cached per node by
+/// [`crate::WedgeTree::abandon_order`]), so the `r` threshold is
+/// typically crossed after a handful of terms. `order` must be a
+/// permutation of `0..wedge.len()`. `Err(k)` reports the number of
+/// *terms* consumed (not a series position). The completed sum is
+/// mathematically the same as the natural-order one but may differ in
+/// the last float bits, so exact-distance paths (Euclidean singleton
+/// leaves, where the bound *is* the returned distance) must keep the
+/// natural order.
 // lint: panic-exempt(query/wedge length equality is validated at snapshot admission; the assert documents the kernel contract)
 pub fn lb_keogh_reordered_early_abandon_at(
     q: &[f64],
     wedge: &Wedge,
+    order: &[u32],
     r: f64,
     counter: &mut StepCounter,
 ) -> Result<f64, usize> {
     assert_eq!(q.len(), wedge.len(), "lb_keogh reordered: length mismatch");
     let upper = wedge.upper();
     let lower = wedge.lower();
-    let acc = kernels::engine::clamp_sq_abandon_ordered(
-        q,
-        upper,
-        lower,
-        wedge.abandon_order(),
-        r,
-        counter,
-    )?;
+    let acc = kernels::engine::clamp_sq_abandon_ordered(q, upper, lower, order, r, counter)?;
     let lb = acc.sqrt();
     #[cfg(debug_assertions)]
     {
@@ -622,8 +619,14 @@ mod tests {
         let w = Wedge::from_rows(&m, &[0, 3, 9, 30]);
         let q = signal(48, 2.6);
         let natural = lb_keogh(&q, &w, &mut steps());
-        let reordered = lb_keogh_reordered_early_abandon_at(&q, &w, f64::INFINITY, &mut steps())
-            .expect("infinite radius never abandons");
+        let reordered = lb_keogh_reordered_early_abandon_at(
+            &q,
+            &w,
+            &w.sort_abandon_order(),
+            f64::INFINITY,
+            &mut steps(),
+        )
+        .expect("infinite radius never abandons");
         assert!(
             (natural - reordered).abs() < 1e-9,
             "same sum up to fp reassociation"
@@ -640,7 +643,8 @@ mod tests {
             .expect_err("spike forces abandon");
         assert_eq!(pos, n - 1);
         let mut reo = steps();
-        let terms = lb_keogh_reordered_early_abandon_at(&q0, &spiked, 1.0, &mut reo)
+        let order = spiked.sort_abandon_order();
+        let terms = lb_keogh_reordered_early_abandon_at(&q0, &spiked, &order, 1.0, &mut reo)
             .expect_err("spike forces abandon");
         assert_eq!(terms, 1, "largest contribution is accumulated first");
         assert!(reo.steps() < nat.steps());

@@ -3,7 +3,6 @@
 use crate::envelope::{envelope_of, sliding_max_into, sliding_min_into, SlidingScratch};
 use rotind_distance::kernels::LANES;
 use rotind_ts::rotate::RotationMatrix;
-use std::sync::OnceLock;
 
 /// A wedge: the smallest bounding envelope enclosing a set of candidate
 /// rotations from above (`upper`) and below (`lower`), together with the
@@ -13,7 +12,8 @@ use std::sync::OnceLock;
 /// `upper` at offset 0, `lower` at a lane-aligned stride — so the clamp
 /// kernels stream both from a single contiguous allocation. A wedge
 /// whose two envelopes are bit-identical (a single series) stores the
-/// series once and reads both envelopes from it.
+/// series once and reads both envelopes from it. All padding is 0.0, so
+/// the derived equality compares envelopes, cardinality and layout.
 ///
 /// ```
 /// use rotind_envelope::Wedge;
@@ -25,7 +25,7 @@ use std::sync::OnceLock;
 /// assert_eq!(wedge.lower(), &[1.0, 2.0, 2.0, 1.0]);
 /// assert!(wedge.contains(&[3.0, 4.0, 5.0, 2.0]));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Wedge {
     /// Packed envelope slab: `upper` occupies `[0, n)` and `lower`
     /// occupies `[lower_at, lower_at + n)`; all padding is 0.0.
@@ -37,22 +37,6 @@ pub struct Wedge {
     lower_at: usize,
     /// Number of covered rotations (the paper's `cardinality(T)`).
     cardinality: usize,
-    /// Position permutation for reordered early abandoning, filled by
-    /// [`Wedge::abandon_order`] on first read. A pure function of
-    /// `(upper, lower)`, so a cache filled by any thread holds the same
-    /// permutation; most wedges of a hierarchy are never asked for it.
-    order: OnceLock<Vec<u32>>,
-}
-
-/// Equality of the envelopes and the cardinality; neither the slab
-/// layout nor whether the abandon order has been computed yet is part
-/// of a wedge's value.
-impl PartialEq for Wedge {
-    fn eq(&self, other: &Self) -> bool {
-        self.upper() == other.upper()
-            && self.lower() == other.lower()
-            && self.cardinality == other.cardinality
-    }
 }
 
 /// Lane-aligned stride of the envelope slab for series length `n`.
@@ -71,6 +55,12 @@ fn gap(upper: f64, lower: f64) -> f64 {
     } else {
         0.0
     }
+}
+
+/// Bitwise equality of two slices (`-0.0` differs from `0.0`).
+#[inline]
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Order-preserving map of [`f64::total_cmp`] onto `u64`: negative
@@ -129,7 +119,6 @@ impl Wedge {
             n,
             lower_at,
             cardinality,
-            order: OnceLock::new(),
         }
     }
 
@@ -179,7 +168,6 @@ impl Wedge {
             n,
             lower_at: stride,
             cardinality: a.cardinality + b.cardinality,
-            order: OnceLock::new(),
         }
     }
 
@@ -233,12 +221,57 @@ impl Wedge {
 
     /// Positions in decreasing expected-contribution order, for reordered
     /// early abandoning of `LB_Keogh` (cascade tier 3). Always a
-    /// permutation of `0..len()`, sorted on the first call and cached.
-    #[inline]
-    pub fn abandon_order(&self) -> &[u32] {
-        let sort = || abandon_order_of(self.upper(), self.lower());
-        // lint: blocking-allowed(a concurrent first reader waits for at most one O(n log n) sort of a pure function of the envelopes; no IO or lock runs under it)
-        self.order.get_or_init(sort)
+    /// permutation of `0..len()`, sorted afresh on every call in
+    /// `O(n log n)`; [`crate::WedgeTree::abandon_order`] caches it per
+    /// node and shares it between translated wedges.
+    pub fn sort_abandon_order(&self) -> Vec<u32> {
+        abandon_order_of(self.upper(), self.lower())
+    }
+
+    /// `true` when both envelopes are `source`'s rotated left by `shift`
+    /// positions, bit for bit: `self[i] = source[(i + shift) mod n]`.
+    /// Bits, not values, because `Wedge::merge` may keep either sign of a
+    /// zero on a `+0.0`/`−0.0` tie, and the abandon order keys on bits.
+    pub(crate) fn is_rotation_of(&self, source: &Wedge, shift: usize) -> bool {
+        let halves_swap = |mine: &[f64], theirs: &[f64]| {
+            let cut = mine.len().checked_sub(shift);
+            match (
+                cut.and_then(|c| mine.split_at_checked(c)),
+                theirs.split_at_checked(shift),
+            ) {
+                (Some((head, tail)), Some((their_head, their_tail))) => {
+                    same_bits(head, their_tail) && same_bits(tail, their_head)
+                }
+                _ => false,
+            }
+        };
+        self.n == source.n
+            && halves_swap(self.upper(), source.upper())
+            && halves_swap(self.lower(), source.lower())
+    }
+
+    /// This wedge's abandon order, derived from `source_order`, the
+    /// order of a wedge this one [is a rotation of](Wedge::is_rotation_of)
+    /// by `shift`: source position `p` is position `p − shift (mod n)`
+    /// here and carries the same key, so the source order re-indexed is
+    /// sorted by key already. Only runs of exactly tied keys need their
+    /// index tie-break restored, by a sort of the run. `O(n)` when ties
+    /// are rare; the result equals [`Wedge::sort_abandon_order`].
+    pub(crate) fn rotated_abandon_order(&self, source_order: &[u32], shift: usize) -> Vec<u32> {
+        let (n, shift) = (self.n as u32, shift as u32);
+        let mut order: Vec<u32> = source_order
+            .iter()
+            .map(|&p| if p >= shift { p - shift } else { p + n - shift })
+            .collect();
+        let (upper, lower) = (self.upper(), self.lower());
+        let key = |i: u32| {
+            let (u, l) = (upper.get(i as usize)?, lower.get(i as usize)?);
+            Some((gap(*u, *l).to_bits(), (u - l).to_bits()))
+        };
+        for run in order.chunk_by_mut(|&a, &b| key(a) == key(b)) {
+            run.sort_unstable();
+        }
+        order
     }
 
     /// Number of covered rotations (the paper's `cardinality(T)`).
@@ -404,7 +437,7 @@ mod tests {
             Wedge::from_single(&c),
             Wedge::from_rows(&m, &[0, 5, 11]).widened(3),
         ] {
-            let mut seen: Vec<u32> = w.abandon_order().to_vec();
+            let mut seen: Vec<u32> = w.sort_abandon_order();
             seen.sort_unstable();
             assert_eq!(seen, (0..w.len() as u32).collect::<Vec<_>>());
             // Primary key (distance of the envelope interval from zero)
@@ -419,7 +452,7 @@ mod tests {
                     0.0
                 }
             };
-            for pair in w.abandon_order().windows(2) {
+            for pair in w.sort_abandon_order().windows(2) {
                 assert!(gap(pair[0] as usize) >= gap(pair[1] as usize));
             }
         }
@@ -457,39 +490,37 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_whether_the_order_is_cached() {
-        let c = signal(40);
+    fn a_rotated_order_equals_a_fresh_sort() {
+        // Quantized values tie on (gap, width) often, so the tied runs
+        // that need their index tie-break restored are exercised.
+        let c: Vec<f64> = (0..37).map(|i| ((i * 7 % 5) as f64 - 2.0) * 0.5).collect();
         let m = RotationMatrix::full(&c).unwrap();
-        let read = Wedge::from_rows(&m, &[1, 2, 8]);
-        let fresh = read.clone();
-        read.abandon_order();
-        assert_eq!(read, fresh);
-        assert_eq!(fresh, read.clone());
-        let wider = Wedge::from_rows(&m, &[1, 2, 8, 9]);
-        assert_ne!(read, wider);
+        let source = Wedge::from_rows(&m, &[0, 3, 4, 20]);
+        let order = source.sort_abandon_order();
+        for shift in [1usize, 5, 17, 36] {
+            let rows: Vec<usize> = [0, 3, 4, 20].iter().map(|r| (r + shift) % 37).collect();
+            let member = Wedge::from_rows(&m, &rows);
+            assert!(member.is_rotation_of(&source, shift), "shift {shift}");
+            assert!(!member.is_rotation_of(&source, shift - 1), "shift {shift}");
+            assert_eq!(
+                member.rotated_abandon_order(&order, shift),
+                member.sort_abandon_order(),
+                "shift {shift}"
+            );
+        }
     }
 
     #[test]
-    fn concurrent_first_reads_see_the_eager_permutation() {
-        let c = signal(251);
-        let m = RotationMatrix::full(&c).unwrap();
-        let w = Wedge::from_rows(&m, &[0, 5, 11, 40]).widened(5);
-        let eager = comparator_order_of(w.upper(), w.lower());
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            let readers: Vec<_> = (0..4)
-                .map(|_| {
-                    s.spawn(|| {
-                        start.wait();
-                        w.abandon_order().to_vec()
-                    })
-                })
-                .collect();
-            for reader in readers {
-                assert_eq!(reader.join().unwrap(), eager);
-            }
-        });
-        assert_eq!(w.abandon_order(), &eager[..]);
+    fn a_zero_of_the_other_sign_is_not_a_rotation() {
+        let c = [1.0, 0.0, -2.0, 3.0];
+        let source = Wedge::from_single(&c);
+        let same = Wedge::from_single(&[0.0, -2.0, 3.0, 1.0]);
+        let flipped = Wedge::from_single(&[-0.0, -2.0, 3.0, 1.0]);
+        assert!(same.is_rotation_of(&source, 1));
+        assert_eq!(flipped, same, "values compare equal");
+        assert!(!flipped.is_rotation_of(&source, 1), "bits do not");
+        assert!(!same.is_rotation_of(&source, 5), "shift beyond n");
+        assert!(!Wedge::from_single(&c[..3]).is_rotation_of(&source, 0));
     }
 
     #[test]

@@ -16,6 +16,13 @@ pub enum SearchError {
         /// Actual length of the item.
         actual: usize,
     },
+    /// The query's length differs from the snapshot's series length.
+    QueryLength {
+        /// The snapshot's series length.
+        expected: usize,
+        /// The query's length.
+        actual: usize,
+    },
     /// A database item holds a NaN or an infinity.
     NonFinite {
         /// Index of the offending database item.
@@ -53,6 +60,10 @@ impl fmt::Display for SearchError {
             } => write!(
                 f,
                 "database item {index} has length {actual}, expected {expected}"
+            ),
+            SearchError::QueryLength { expected, actual } => write!(
+                f,
+                "query has length {actual}, the snapshot's series have length {expected}"
             ),
             SearchError::NonFinite { index, position } => write!(
                 f,

@@ -173,7 +173,13 @@ fn node_tier_bound<O: SearchObserver>(
     };
     observer.on_phase_start(keogh_phase, counter.steps());
     let keogh = if config.reorder && !euclid_leaf {
-        lb_keogh_reordered_early_abandon_at(candidate, lb_wedge, best_so_far, counter)
+        lb_keogh_reordered_early_abandon_at(
+            candidate,
+            lb_wedge,
+            tree.abandon_order(node),
+            best_so_far,
+            counter,
+        )
     } else {
         lb_keogh_early_abandon_at(candidate, lb_wedge, best_so_far, counter)
     };

@@ -106,7 +106,9 @@ impl IndexSnapshot {
     /// under the snapshot's cascade configuration and run
     /// [`RotationQuery::search`]. Engine construction costs the paper's
     /// `O(n²)` startup per query and is not counted in `counter`,
-    /// matching direct engine use.
+    /// matching direct engine use. A query whose length differs from the
+    /// snapshot's is refused with [`SearchError::QueryLength`] before
+    /// that build.
     pub fn execute<O: SearchObserver, B: BudgetHook>(
         &self,
         spec: &QuerySpec,
@@ -115,6 +117,14 @@ impl IndexSnapshot {
         budget: &mut B,
         cache: Option<&mut BatchPaaCache>,
     ) -> Result<BudgetOutcome<Vec<Neighbor>>, SearchError> {
+        // Checked before the O(n²) build, whose cost the query's length
+        // alone sets.
+        if spec.series.len() != self.series_len {
+            return Err(SearchError::QueryLength {
+                expected: self.series_len,
+                actual: spec.series.len(),
+            });
+        }
         let engine =
             RotationQuery::with_config(&spec.series, spec.invariance, spec.measure, self.cascade)
                 .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
@@ -320,5 +330,30 @@ mod tests {
                 None,
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_query_of_the_wrong_length_is_refused_before_the_build() {
+        let snap = IndexSnapshot::new(database(5, 16)).unwrap();
+        for len in [8usize, 17, 4096] {
+            let spec = QuerySpec {
+                series: signal(len, 0.0),
+                invariance: Invariance::RotationMirror,
+                measure: Measure::Euclidean,
+                kind: QueryKind::Nearest,
+            };
+            let mut counter = StepCounter::new();
+            let err = snap
+                .execute(&spec, &mut counter, &mut NoopObserver, &mut NoBudget, None)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SearchError::QueryLength {
+                    expected: 16,
+                    actual: len
+                }
+            );
+            assert_eq!(counter.steps(), 0);
+        }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! One *acceptor* thread owns the listener and spawns one *connection*
 //! thread per client. Connection threads parse frames and answer
-//! `Ping`/`Metrics` inline; `Query` requests become [`Job`]s pushed
+//! `Ping`/`Metrics` inline; `Query` requests become `Job`s pushed
 //! onto a bounded [`sync_channel`](std::sync::mpsc::sync_channel).
 //! A fixed pool of *worker* threads drains that queue; each worker
 //! owns a persistent [`BatchPaaCache`] so candidate PAA projections
@@ -17,7 +17,7 @@
 //!
 //! The queue depth bounds in-flight work. When `try_send` finds the
 //! queue full the connection thread replies
-//! [`Response::Overloaded`](crate::wire::Response::Overloaded)
+//! [`Response::Overloaded`]
 //! immediately instead of blocking — backpressure reaches the client
 //! as a typed reply, never as an unbounded queue.
 //!
@@ -499,6 +499,7 @@ fn search_error_code(e: &SearchError) -> u16 {
     match e {
         SearchError::EmptyDatabase
         | SearchError::LengthMismatch { .. }
+        | SearchError::QueryLength { .. }
         | SearchError::NonFinite { .. } => error_code::BAD_QUERY,
         SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
     }

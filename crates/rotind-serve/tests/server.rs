@@ -223,6 +223,23 @@ fn malformed_and_invalid_queries_are_typed_errors() {
         other => panic!("expected an error, got {other:?}"),
     }
 
+    // A long query is refused by length before its rotations are
+    // clustered, and the error names the query, not a database item.
+    let spec = QuerySpec {
+        series: signal(4096, 0.2),
+        invariance: Invariance::Rotation,
+        measure: Measure::Euclidean,
+        kind: QueryKind::Nearest,
+    };
+    match client.query(&unbudgeted(&spec)).unwrap() {
+        Response::Error { code, message } => {
+            assert_eq!(code, error_code::BAD_QUERY, "{message}");
+            assert!(message.contains("query has length 4096"), "{message}");
+            assert!(!message.contains("database item"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+
     // k = 0 is an invalid parameter.
     let spec = QuerySpec {
         series: signal(16, 0.2),

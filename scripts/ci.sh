@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local CI gate: formatting, lints, build, tests, and a bounded
+# Full local CI gate: formatting, lints, docs, build, tests, and a bounded
 # smoke run of the telemetry binary. Run from the repository root:
 #
 #   ./scripts/ci.sh
@@ -13,6 +13,9 @@ cargo fmt --all --check
 
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> rotind-lint --self-check (the linter gates its own crate first)"
 cargo run -q -p rotind-lint -- --self-check

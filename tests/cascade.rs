@@ -144,7 +144,7 @@ proptest! {
         let wedge = Wedge::from_rows(&matrix, &rows).widened(band);
         let natural = lb_keogh(&q, &wedge, &mut StepCounter::new());
         let reordered =
-            lb_keogh_reordered_early_abandon_at(&q, &wedge, f64::INFINITY, &mut StepCounter::new())
+            lb_keogh_reordered_early_abandon_at(&q, &wedge, &wedge.sort_abandon_order(), f64::INFINITY, &mut StepCounter::new())
                 .expect("infinite threshold never abandons");
         prop_assert!((natural - reordered).abs() < 1e-9, "{} != {}", natural, reordered);
     }
