@@ -18,6 +18,13 @@ impl DistanceMatrix {
         }
     }
 
+    /// Wrap an already filled condensed upper triangle: row `i`'s
+    /// entries `(i, i + 1..m)` in order, row after row.
+    pub(crate) fn from_condensed(m: usize, data: Vec<f64>) -> Self {
+        debug_assert_eq!(data.len(), m * m.saturating_sub(1) / 2);
+        DistanceMatrix { m, data }
+    }
+
     /// Build by evaluating `f(i, j)` for every pair `i < j`.
     pub fn from_fn(m: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut matrix = Self::zeros(m);
@@ -77,6 +84,19 @@ impl DistanceMatrix {
         self.data[idx] = value;
     }
 
+    /// The condensed rows in order: row `i` holds the distances from
+    /// item `i` to items `i + 1..m` (the last row is empty).
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[f64]> {
+        let mut rest = self.data.as_slice();
+        (1..=self.m).rev().map(move |width| {
+            // The buffer holds exactly the m·(m−1)/2 entries these rows
+            // take, so every split is in range.
+            let (row, tail) = rest.split_at(width - 1);
+            rest = tail;
+            row
+        })
+    }
+
     /// The largest off-diagonal entry (0.0 for m < 2).
     pub fn max_value(&self) -> f64 {
         self.data.iter().copied().fold(0.0, f64::max)
@@ -127,6 +147,20 @@ mod tests {
     #[should_panic(expected = "diagonal")]
     fn setting_diagonal_panics() {
         DistanceMatrix::zeros(3).set(1, 1, 1.0);
+    }
+
+    #[test]
+    fn rows_walk_the_upper_triangle() {
+        let dm = DistanceMatrix::from_fn(5, |i, j| (i * 10 + j) as f64);
+        assert_eq!(dm.rows().count(), 5);
+        for (i, row) in dm.rows().enumerate() {
+            assert_eq!(row.len(), 4 - i);
+            for (j, &v) in (i + 1..).zip(row) {
+                assert_eq!(v, dm.get(i, j));
+                assert_eq!(v, (i * 10 + j) as f64);
+            }
+        }
+        assert_eq!(DistanceMatrix::zeros(0).rows().count(), 0);
     }
 
     #[test]

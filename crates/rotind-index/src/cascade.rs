@@ -187,33 +187,58 @@ impl Default for CascadeConfig {
     }
 }
 
-/// A [`CascadeConfig`] plus the per-tree data tier 2 needs: one reduced
-/// envelope per wedge-tree node, projected from the node's *lower-bound*
-/// wedge (widened by the DTW band) so the PAA bound stays admissible for
-/// DTW exactly as it is for Euclidean.
+/// A [`CascadeConfig`] plus the per-tree data tier 2 needs: a reduced
+/// envelope for each wedge-tree node the tier can test, i.e. each node
+/// whose lower-bound wedge covers at least
+/// [`CascadeConfig::reduced_min_cardinality`] rotations. The envelope is
+/// projected from that *lower-bound* wedge (widened by the DTW band) so
+/// the PAA bound stays admissible for DTW exactly as it is for
+/// Euclidean. Under the default gate that is a few dozen of a tree's
+/// `2·rows − 1` nodes; a gate of 0 (`ROTIND_CASCADE=reduced`) projects
+/// every node.
 #[derive(Debug, Clone)]
 pub struct BoundCascade {
     config: CascadeConfig,
-    paa: Option<Vec<PaaEnvelope>>,
+    /// Per tree node, the index of its envelope in `envelopes`, or
+    /// `u32::MAX` (no envelope). Empty when the reduced tier is off.
+    slots: Vec<u32>,
+    envelopes: Vec<PaaEnvelope>,
 }
 
 impl BoundCascade {
-    /// Precompute tier-2 envelopes for every node of `tree` (skipped
-    /// entirely when the reduced tier is off).
+    /// Precompute tier-2 envelopes for the nodes of `tree` that pass
+    /// the tier's cardinality gate (none when the reduced tier is off).
     pub fn build(tree: &WedgeTree, config: CascadeConfig) -> Self {
-        let paa = config.reduced.then(|| {
-            (0..tree.dendrogram().num_nodes())
-                .map(|node| PaaEnvelope::of_wedge(tree.lb_wedge(node), config.dims))
-                .collect()
-        });
-        BoundCascade { config, paa }
+        let mut envelopes = Vec::new();
+        let nodes = if config.reduced {
+            tree.dendrogram().num_nodes()
+        } else {
+            0
+        };
+        let slots = (0..nodes)
+            .map(|node| {
+                let wedge = tree.lb_wedge(node);
+                if wedge.cardinality() < config.reduced_min_cardinality {
+                    return u32::MAX;
+                }
+                let slot = u32::try_from(envelopes.len()).unwrap_or(u32::MAX);
+                envelopes.push(PaaEnvelope::of_wedge(wedge, config.dims));
+                slot
+            })
+            .collect();
+        BoundCascade {
+            config,
+            slots,
+            envelopes,
+        }
     }
 
     /// The tree-independent legacy cascade (no tier-2 data to build).
     pub fn legacy() -> Self {
         BoundCascade {
             config: CascadeConfig::legacy(),
-            paa: None,
+            slots: Vec::new(),
+            envelopes: Vec::new(),
         }
     }
 
@@ -222,13 +247,12 @@ impl BoundCascade {
         self.config
     }
 
-    /// Tier-2 envelope for `node`, when the reduced tier is on.
-    // lint: panic-exempt(paa, when present, holds one envelope per tree node, and callers pass ids of that tree)
+    /// Tier-2 envelope for `node`: present exactly when the reduced
+    /// tier is on and `node` passes its cardinality gate, so this is
+    /// the tier's whole gate.
     pub(crate) fn paa_envelope(&self, node: usize) -> Option<&PaaEnvelope> {
-        // Invariant: `paa` (when present) holds one envelope per tree
-        // node and callers pass node ids of the same tree.
-        // rotind-lint: allow(no-index)
-        self.paa.as_deref().map(|v| &v[node])
+        let slot = *self.slots.get(node)?;
+        self.envelopes.get(usize::try_from(slot).ok()?)
     }
 }
 
@@ -405,15 +429,38 @@ mod tests {
 
     #[test]
     fn build_projects_every_node_only_when_reduced_is_on() {
-        let series: Vec<f64> = (0..24).map(|i| (i as f64 * 0.4).sin()).collect();
-        let tree = WedgeTree::new(RotationMatrix::full(&series).unwrap(), 0);
-        let with = BoundCascade::build(&tree, CascadeConfig::all());
-        for node in 0..tree.dendrogram().num_nodes() {
-            assert!(with.paa_envelope(node).is_some(), "node {node}");
+        let series: Vec<f64> = (0..48).map(|i| (i as f64 * 0.4).sin()).collect();
+        let tree = WedgeTree::new(RotationMatrix::with_mirror(&series).unwrap(), 0);
+        let nodes = 0..tree.dendrogram().num_nodes();
+        let projected = |cascade: &BoundCascade| -> Vec<bool> {
+            nodes
+                .clone()
+                .map(|node| cascade.paa_envelope(node).is_some())
+                .collect()
+        };
+        // Under the default gate: exactly the nodes at or above it, each
+        // with the envelope an every-node build gives it.
+        let gated = BoundCascade::build(&tree, CascadeConfig::all());
+        let reduced = CascadeConfig::parse("reduced").unwrap();
+        assert_eq!(reduced.reduced_min_cardinality, 0);
+        let every = BoundCascade::build(&tree, reduced);
+        let fat: Vec<bool> = nodes
+            .clone()
+            .map(|node| tree.lb_wedge(node).cardinality() >= DEFAULT_REDUCED_MIN_CARDINALITY)
+            .collect();
+        assert!(fat.contains(&true) && fat.contains(&false));
+        assert_eq!(projected(&gated), fat);
+        for node in nodes.clone() {
+            if let Some(env) = gated.paa_envelope(node) {
+                assert_eq!(Some(env), every.paa_envelope(node), "node {node}");
+            }
         }
-        let without = BoundCascade::build(&tree, CascadeConfig::legacy());
-        assert!(without.paa_envelope(0).is_none());
+        // Gate 0: every node; the reduced tier off: none.
+        assert!(projected(&every).iter().all(|&p| p));
+        let legacy = BoundCascade::build(&tree, CascadeConfig::legacy());
+        assert!(projected(&legacy).iter().all(|&p| !p));
         assert!(BoundCascade::legacy().paa_envelope(0).is_none());
+        assert!(gated.paa_envelope(nodes.end).is_none());
     }
 
     #[test]

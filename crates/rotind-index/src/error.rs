@@ -23,6 +23,9 @@ pub enum SearchError {
         /// The query's length.
         actual: usize,
     },
+    /// The query's samples are finite but so large that the Euclidean
+    /// distance between two of its rotations overflows `f64`.
+    QueryOverflow,
     /// A database item holds a NaN or an infinity.
     NonFinite {
         /// Index of the offending database item.
@@ -64,6 +67,10 @@ impl fmt::Display for SearchError {
             SearchError::QueryLength { expected, actual } => write!(
                 f,
                 "query has length {actual}, the snapshot's series have length {expected}"
+            ),
+            SearchError::QueryOverflow => write!(
+                f,
+                "query samples are too large: distances between its rotations overflow f64"
             ),
             SearchError::NonFinite { index, position } => write!(
                 f,

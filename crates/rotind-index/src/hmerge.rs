@@ -118,11 +118,10 @@ fn node_tier_bound<O: SearchObserver>(
         }
     }
 
-    // Tier 2: reduced-space PAA envelope bound.
-    if let Some(env) = (cardinality >= config.reduced_min_cardinality)
-        .then(|| cascade.paa_envelope(node))
-        .flatten()
-    {
+    // Tier 2: reduced-space PAA envelope bound, on the nodes its
+    // cardinality gate admits (the cascade holds envelopes for those
+    // only).
+    if let Some(env) = cascade.paa_envelope(node) {
         observer.on_phase_start(ProfilePhase::Tier(CascadeTier::Reduced), counter.steps());
         let paa = ctx.paa(candidate, config.dims, counter);
         let lb = env.min_dist(paa, counter);

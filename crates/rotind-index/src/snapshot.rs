@@ -23,7 +23,7 @@ use crate::engine::{check_series, Invariance, Neighbor, RotationQuery};
 use crate::error::SearchError;
 use rotind_distance::measure::Measure;
 use rotind_obs::{BudgetHook, BudgetOutcome, SearchObserver};
-use rotind_ts::StepCounter;
+use rotind_ts::{StepCounter, TsError};
 use std::sync::Arc;
 
 pub use crate::engine::QueryKind;
@@ -108,7 +108,8 @@ impl IndexSnapshot {
     /// `O(n²)` startup per query and is not counted in `counter`,
     /// matching direct engine use. A query whose length differs from the
     /// snapshot's is refused with [`SearchError::QueryLength`] before
-    /// that build.
+    /// that build, and one whose samples are too large for the build's
+    /// distances to stay finite with [`SearchError::QueryOverflow`].
     pub fn execute<O: SearchObserver, B: BudgetHook>(
         &self,
         spec: &QuerySpec,
@@ -127,7 +128,10 @@ impl IndexSnapshot {
         }
         let engine =
             RotationQuery::with_config(&spec.series, spec.invariance, spec.measure, self.cascade)
-                .map_err(|e| SearchError::invalid_param("query", e.to_string()))?;
+                .map_err(|e| match e {
+                TsError::Overflow => SearchError::QueryOverflow,
+                other => SearchError::invalid_param("query", other.to_string()),
+            })?;
         engine.search(&self.database, spec.kind, counter, observer, budget, cache)
     }
 }
@@ -354,6 +358,62 @@ mod tests {
                 }
             );
             assert_eq!(counter.steps(), 0);
+        }
+    }
+
+    /// An ED 3-NN query through `execute`, unwrapped to its answer.
+    fn run(
+        snap: &IndexSnapshot,
+        series: Vec<f64>,
+        invariance: Invariance,
+    ) -> Result<Vec<Neighbor>, SearchError> {
+        let spec = QuerySpec {
+            series,
+            invariance,
+            measure: Measure::Euclidean,
+            kind: QueryKind::KNearest(3),
+        };
+        snap.execute(
+            &spec,
+            &mut StepCounter::new(),
+            &mut NoopObserver,
+            &mut NoBudget,
+            None,
+        )
+        .map(BudgetOutcome::into_inner)
+    }
+
+    #[test]
+    fn a_query_whose_distances_overflow_is_refused_before_the_build() {
+        let snap = IndexSnapshot::new(database(6, 32)).unwrap();
+        for invariance in [Invariance::Rotation, Invariance::RotationMirror] {
+            // Finite samples whose squares sum past f64::MAX: every
+            // distance between two rotations would be +inf.
+            let huge: Vec<f64> = signal(32, 0.3).iter().map(|v| v * 1e155).collect();
+            assert_eq!(
+                run(&snap, huge, invariance),
+                Err(SearchError::QueryOverflow)
+            );
+            // At 1e150 the distances stay finite and the engine builds.
+            // (The search itself is not run here: debug builds check
+            // each bound against its distance with an absolute slack,
+            // which rounding at this magnitude exceeds.)
+            let large: Vec<f64> = signal(32, 0.3).iter().map(|v| v * 1e150).collect();
+            assert!(RotationQuery::new(&large, invariance).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_huge_database_item_is_answered() {
+        let mut db = database(6, 32);
+        db[2] = signal(32, 0.9).iter().map(|v| v * 1e200).collect();
+        let snap = IndexSnapshot::new(db.clone()).unwrap();
+        let query = signal(32, 0.3);
+        for invariance in [Invariance::Rotation, Invariance::RotationMirror] {
+            let got = run(&snap, query.clone(), invariance).unwrap();
+            let engine = RotationQuery::new(&query, invariance).unwrap();
+            assert_eq!(got, engine.k_nearest(&db, 3).unwrap());
+            assert!(got.iter().all(|hit| hit.index != 2));
         }
     }
 }

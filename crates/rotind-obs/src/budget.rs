@@ -168,7 +168,10 @@ impl BudgetHook for NoBudget {
 ///
 /// The clock also counts how often it was read, so tests can assert
 /// the amortized polling really skips clock reads between
-/// [`DEADLINE_POLL_STEPS`] windows.
+/// [`DEADLINE_POLL_STEPS`] windows. A [`ticking`](Self::ticking) clock
+/// moves itself forward on every deadline read, so a deadline shorter
+/// than the tick trips at the first poll after it was set, with no
+/// second thread racing the one that polls.
 #[derive(Debug, Clone, Default)]
 pub struct ManualClock {
     inner: Arc<ManualClockInner>,
@@ -182,6 +185,9 @@ pub struct ManualClock {
 struct ManualClockInner {
     now_ns: std::sync::atomic::AtomicU64,
     clock_reads: std::sync::atomic::AtomicU64,
+    /// Nanoseconds each deadline read advances the clock by (0: only
+    /// [`ManualClock::advance`] moves it).
+    tick_ns: u64,
 }
 
 impl ManualClock {
@@ -190,9 +196,23 @@ impl ManualClock {
         Self::default()
     }
 
+    /// A clock starting at time zero that moves forward by `tick` on
+    /// every deadline read, before the read.
+    pub fn ticking(tick: Duration) -> Self {
+        ManualClock {
+            inner: Arc::new(ManualClockInner {
+                tick_ns: duration_ns(tick),
+                ..ManualClockInner::default()
+            }),
+        }
+    }
+
     /// Move the clock forward by `d`.
     pub fn advance(&self, d: Duration) {
-        let ns = duration_ns(d);
+        self.advance_ns(duration_ns(d));
+    }
+
+    fn advance_ns(&self, ns: u64) {
         // Saturating CAS add: a wrapped clock would un-trip deadlines.
         let mut current = self.inner.now_ns.load(std::sync::atomic::Ordering::Acquire);
         loop {
@@ -222,6 +242,9 @@ impl ManualClock {
         self.inner
             .clock_reads
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if self.inner.tick_ns > 0 {
+            self.advance_ns(self.inner.tick_ns);
+        }
         self.inner.now_ns.load(std::sync::atomic::Ordering::Acquire)
     }
 
@@ -599,6 +622,19 @@ mod tests {
         assert_eq!(b.trip_reason(), Some(BudgetReason::Deadline));
         clock.advance(Duration::from_secs(1));
         assert!(!b.check(0), "deadline trips are sticky");
+    }
+
+    #[test]
+    fn a_ticking_clock_trips_at_the_first_poll_past_its_deadline() {
+        let clock = ManualClock::ticking(Duration::from_millis(1));
+        let mut b = QueryBudget::with_clock(None, Some(Duration::from_micros(1500)), &clock);
+        assert!(b.check(0), "first read: 1ms < 1.5ms");
+        assert_eq!(clock.now(), Duration::from_millis(1));
+        assert!(b.check(1), "inside the poll window: no read, no tick");
+        assert_eq!((clock.reads(), clock.now()), (1, Duration::from_millis(1)));
+        assert!(!b.check(DEADLINE_POLL_STEPS), "second read: 2ms >= 1.5ms");
+        assert_eq!(b.trip_reason(), Some(BudgetReason::Deadline));
+        assert_eq!(clock.reads(), 2);
     }
 
     #[test]

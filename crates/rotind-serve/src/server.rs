@@ -500,6 +500,7 @@ fn search_error_code(e: &SearchError) -> u16 {
         SearchError::EmptyDatabase
         | SearchError::LengthMismatch { .. }
         | SearchError::QueryLength { .. }
+        | SearchError::QueryOverflow
         | SearchError::NonFinite { .. } => error_code::BAD_QUERY,
         SearchError::InvalidParam { .. } => error_code::BAD_PARAM,
     }

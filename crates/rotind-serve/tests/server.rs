@@ -206,6 +206,44 @@ fn ping_binary_metrics_and_http_metrics() {
 }
 
 #[test]
+fn a_query_whose_distances_overflow_is_refused_and_the_workers_survive() {
+    let db = database(10, 32);
+    let snapshot = IndexSnapshot::new(db.clone()).unwrap();
+    let mut server = Server::start(snapshot, config(2)).unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    // Finite samples, so wire decode accepts them, but their squares sum
+    // past f64::MAX: one such request per worker, under both
+    // invariances.
+    for invariance in [Invariance::Rotation, Invariance::RotationMirror] {
+        let spec = QuerySpec {
+            series: signal(32, 0.2).iter().map(|v| v * 1e155).collect(),
+            invariance,
+            measure: Measure::Euclidean,
+            kind: QueryKind::Nearest,
+        };
+        match client.query(&unbudgeted(&spec)).unwrap() {
+            Response::Error { code, message } => {
+                assert_eq!(code, error_code::BAD_QUERY, "{message}");
+                assert!(message.contains("query"), "{message}");
+            }
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+    // Both workers still answer.
+    for phase in [0.3, 0.7, 1.1, 1.5] {
+        let spec = QuerySpec {
+            series: signal(32, phase),
+            invariance: Invariance::RotationMirror,
+            measure: Measure::Euclidean,
+            kind: QueryKind::KNearest(2),
+        };
+        let served = served_hits(client.query(&unbudgeted(&spec)).unwrap());
+        assert_eq!(served, library_answer(&db, &spec));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn malformed_and_invalid_queries_are_typed_errors() {
     let snapshot = IndexSnapshot::new(database(10, 16)).unwrap();
     let mut server = Server::start(snapshot, config(1)).unwrap();
@@ -383,11 +421,11 @@ fn step_budget_exhaustion_returns_a_typed_partial() {
 
 #[test]
 fn deadline_exhaustion_with_a_manual_clock_returns_a_typed_partial() {
-    // A deliberately heavy query (large database, full invariance) so
-    // the scan spans many deadline polls; the manual clock is advanced
-    // past the deadline while it runs. The clock, not the scheduler,
-    // decides the trip.
-    let clock = ManualClock::new();
+    // Every deadline read moves the clock 1ms past the 1us deadline, and
+    // the scan reads it before its first item, so the trip depends on
+    // the clock alone, not on how the worker and this thread are
+    // scheduled.
+    let clock = ManualClock::ticking(Duration::from_millis(1));
     let snapshot = IndexSnapshot::new(database(600, 96)).unwrap();
     let mut server = Server::start(
         snapshot,
@@ -399,7 +437,6 @@ fn deadline_exhaustion_with_a_manual_clock_returns_a_typed_partial() {
         },
     )
     .unwrap();
-    let addr = server.addr();
     let request = QueryRequest {
         spec: QuerySpec {
             series: signal(96, 0.2),
@@ -410,20 +447,12 @@ fn deadline_exhaustion_with_a_manual_clock_returns_a_typed_partial() {
         max_steps: None,
         deadline: Some(Duration::from_micros(1)),
     };
-    let handle = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.query(&request)
-    });
-    // Any post-enqueue advance of >= 1us passes the deadline; keep
-    // advancing until the reply lands.
-    while !handle.is_finished() {
-        clock.advance(Duration::from_millis(1));
-        std::thread::yield_now();
-    }
-    match handle.join().unwrap().unwrap() {
+    let mut client = Client::connect(server.addr()).unwrap();
+    match client.query(&request).unwrap() {
         Response::Query(q) => assert_eq!(q.status, QueryStatus::ExhaustedDeadline),
         other => panic!("expected a deadline-exhausted response, got {other:?}"),
     }
+    assert!(clock.reads() >= 1);
     server.shutdown();
 }
 

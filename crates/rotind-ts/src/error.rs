@@ -19,6 +19,9 @@ pub enum TsError {
         /// Index of the offending sample.
         index: usize,
     },
+    /// The samples are finite but so large that the Euclidean distance
+    /// between two rotations of the series overflows `f64`.
+    Overflow,
     /// Z-normalization of a constant series was requested.
     ZeroVariance,
     /// A parameter was outside its valid domain.
@@ -50,6 +53,10 @@ impl fmt::Display for TsError {
             TsError::NonFinite { index } => {
                 write!(f, "sample at index {index} is NaN or infinite")
             }
+            TsError::Overflow => write!(
+                f,
+                "samples are too large: distances between rotations overflow f64"
+            ),
             TsError::ZeroVariance => {
                 write!(f, "cannot z-normalize a series with zero variance")
             }

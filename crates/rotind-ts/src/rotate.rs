@@ -141,6 +141,11 @@ impl<'a> RotationView<'a> {
 /// query (e.g. *"allow a maximum rotation of 15 degrees"*) restricts the
 /// admitted shifts to a window around zero, implementing the paper's
 /// rotation-limited invariance by simply removing rows from **C**.
+///
+/// Every constructor refuses an empty series ([`TsError::Empty`]), a NaN
+/// or infinite sample ([`TsError::NonFinite`]), and finite samples so
+/// large that the Euclidean distance between two rows would overflow
+/// ([`TsError::Overflow`]).
 #[derive(Debug, Clone)]
 pub struct RotationMatrix {
     base: Vec<f64>,
@@ -188,6 +193,13 @@ impl RotationMatrix {
         }
         if let Some(index) = series.iter().position(|v| !v.is_finite()) {
             return Err(TsError::NonFinite { index });
+        }
+        // No distance between two rows exceeds 2·‖series‖ (mirroring and
+        // rotating keep the norm), so a finite 4·Σx² keeps every one
+        // finite; the extra factor 2 absorbs rounding in the sums.
+        let energy: f64 = series.iter().map(|v| v * v).sum();
+        if !(8.0 * energy).is_finite() {
+            return Err(TsError::Overflow);
         }
         let shifts: Vec<usize> = match limit {
             None => (0..n).collect(),
@@ -387,6 +399,16 @@ mod tests {
             RotationMatrix::full(&[1.0, f64::NAN]),
             Err(TsError::NonFinite { index: 1 })
         ));
+        // 32 samples at 1e155: each is finite, but their squares sum
+        // past f64::MAX, so every distance between rows would be +inf.
+        let huge: Vec<f64> = (0..32).map(|i| 1e155 * (1.0 + f64::from(i % 3))).collect();
+        assert_eq!(
+            RotationMatrix::with_mirror(&huge).unwrap_err(),
+            TsError::Overflow
+        );
+        assert_eq!(RotationMatrix::full(&huge).unwrap_err(), TsError::Overflow);
+        let large: Vec<f64> = huge.iter().map(|v| v / 1e5).collect();
+        assert!(RotationMatrix::full(&large).is_ok());
     }
 
     #[test]
